@@ -312,10 +312,13 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
                    argv[0]);
       return fail();
     }
-    if (!opts.config.trace_path.empty() || !opts.config.dump_dir.empty()) {
+    // Worker registries never reach the coordinator, so --metrics would
+    // print an empty counter section rather than fail.
+    if (!opts.config.trace_path.empty() || !opts.config.dump_dir.empty() ||
+        opts.metrics) {
       std::fprintf(stderr,
-                   "%s: '--trace'/'--dump' are not supported with "
-                   "'--workers' (trials execute in worker processes)\n",
+                   "%s: '--trace'/'--dump'/'--metrics' are not supported "
+                   "with '--workers' (trials execute in worker processes)\n",
                    argv[0]);
       return fail();
     }

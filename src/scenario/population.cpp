@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "ntp/packet.h"
 #include "obs/counters.h"
@@ -25,20 +26,24 @@ std::vector<World::Host*> make_gateways(World& world, u32 count) {
   return out;
 }
 
+PopulationConfig clamped(PopulationConfig c) {
+  if (c.poll_s == 0) c.poll_s = 1;
+  if (c.poll_s > 0xFFFF) c.poll_s = 0xFFFF;
+  if (c.max_poll_s < c.poll_s) c.max_poll_s = c.poll_s;
+  if (c.max_poll_s > 0xFFFF) c.max_poll_s = 0xFFFF;
+  if (c.batch_cap == 0) c.batch_cap = 1;
+  return c;
+}
+
 }  // namespace
 
 ClientPopulation::ClientPopulation(World& world, PopulationConfig config)
     : world_(world),
-      config_(std::move(config)),
+      config_(clamped(std::move(config))),
       rng_(config_.seed),
       gateways_(make_gateways(world, config_.gateways)),
-      stub_(*gateways_.front()->stack, world.resolver_addr()) {
-  if (config_.poll_s == 0) config_.poll_s = 1;
-  if (config_.poll_s > 0xFFFF) config_.poll_s = 0xFFFF;
-  if (config_.max_poll_s < config_.poll_s) config_.max_poll_s = config_.poll_s;
-  if (config_.max_poll_s > 0xFFFF) config_.max_poll_s = 0xFFFF;
-  if (config_.batch_cap == 0) config_.batch_cap = 1;
-
+      stub_(*gateways_.front()->stack, world.resolver_addr()),
+      queue_(config_.max_poll_s) {
   const u32 n = config_.clients;
   server_.assign(n, 0);
   shift_.assign(n, 0.0);
@@ -90,8 +95,8 @@ void ClientPopulation::backoff(u32 i) {
 }
 
 void ClientPopulation::rearm_driver() {
-  const sim::WheelEntry* top = queue_.peek();
-  if (top == nullptr) {
+  const std::optional<sim::SecondCalendar::Entry> top = queue_.peek();
+  if (!top) {
     if (driver_armed_) {
       driver_.cancel();
       driver_armed_ = false;
@@ -115,9 +120,9 @@ void ClientPopulation::pump() {
   driver_armed_ = false;  // our handle just fired
   const sim::Time now = world_.loop().now();
   due_scratch_.clear();
-  while (const sim::WheelEntry* top = queue_.peek()) {
+  sim::SecondCalendar::Entry e;
+  while (const std::optional<sim::SecondCalendar::Entry> top = queue_.peek()) {
     if (top->at > now) break;
-    sim::WheelEntry e;
     queue_.pop(e);
     due_scratch_.push_back(e.payload);
   }
@@ -150,7 +155,7 @@ void ClientPopulation::pump() {
 
 void ClientPopulation::dispatch_polls(std::vector<u32>& due) {
   if (due.empty()) return;
-  // Group by assigned server. stable_sort keeps the wheel's (time, seq)
+  // Group by assigned server. stable_sort keeps the calendar's (time, seq)
   // pop order within a group, so batch membership is deterministic.
   std::stable_sort(due.begin(), due.end(), [this](u32 a, u32 b) {
     return server_[a] < server_[b];

@@ -6,9 +6,9 @@
 // instead keeps the whole fleet as flat struct-of-arrays state — one
 // server address, one accumulated clock shift, one DNS expiry, one poll
 // interval and one flags byte per client — and drives every poll deadline
-// through a sim::WheelQueue with the client index as the payload
-// (src/sim/timer_wheel.h): O(1) placement, ~24 B per armed timer, no
-// callbacks.
+// through a sim::SecondCalendar with the client index as the payload
+// (src/sim/second_calendar.h): a ring of per-second FIFO buckets, O(1)
+// push and pop, 8 B per armed timer, no callbacks.
 //
 // The fleet still speaks the real protocols. Clients whose polls land in
 // the same whole second of simulated time (deadlines are quantised to a
@@ -27,7 +27,7 @@
 // population-scale version of the paper's shared-resolver amplification
 // (§VIII-B3: one cache entry redirects every client behind the resolver).
 //
-// Determinism: deadlines pop from the wheel in (time, insertion) order,
+// Determinism: deadlines pop from the calendar in (time, push) order,
 // batching sorts by server address with std::stable_sort, gateways rotate
 // round-robin, and the only randomness is the seeded Rng that staggers
 // initial polls. Equal seeds give byte-equal fleet state at any point.
@@ -40,7 +40,7 @@
 #include "dns/resolver.h"
 #include "ntp/poll_policy.h"
 #include "scenario/world.h"
-#include "sim/timer_wheel.h"
+#include "sim/second_calendar.h"
 
 namespace dnstime::scenario {
 
@@ -56,7 +56,8 @@ struct PopulationConfig {
   /// Steady-state poll interval (ntpd default 64 s); initial polls are
   /// staggered uniformly across one interval so cohorts spread.
   u32 poll_s = 64;
-  /// Backoff ceiling after KoD / timeout (doubles per failure).
+  /// Backoff ceiling after KoD / timeout (doubles per failure); also the
+  /// furthest any poll is armed ahead, which sizes the poll calendar.
   u32 max_poll_s = 1024;
   sim::Duration poll_timeout = sim::Duration::seconds(2);
   ntp::PollPolicy policy;
@@ -101,8 +102,8 @@ class ClientPopulation {
   /// Fraction of clients currently assigned an attacker NTP server.
   [[nodiscard]] double fraction_on_attacker() const;
 
-  /// Resident heap bytes of fleet state (SoA vectors + timer wheel),
-  /// amortised per client. The population budget is <= 64 B/client.
+  /// Resident heap bytes of fleet state (SoA vectors + calendar),
+  /// amortised per client. The population budget is <= 40 B/client.
   [[nodiscard]] double resident_bytes_per_client() const;
 
  private:
@@ -116,14 +117,14 @@ class ClientPopulation {
   }
   [[nodiscard]] u64 now_s() const;
 
-  /// Arm client i's next poll `delay_s` whole seconds from now (grid-
-  /// quantised, so co-due clients batch).
+  /// Arm client i's next poll `delay_s` (1..max_poll_s) whole seconds
+  /// from now (grid-quantised, so co-due clients batch).
   void arm(u32 i, u64 delay_s);
   void backoff(u32 i);
 
-  /// Driver: pops every due wheel entry, groups the due clients, sends
+  /// Driver: pops every due calendar entry, groups the due clients, sends
   /// the representative exchanges / the shared DNS query, re-arms itself
-  /// at the wheel's next deadline.
+  /// at the calendar's next deadline.
   void pump();
   void rearm_driver();
   void dispatch_polls(std::vector<u32>& due);
@@ -156,7 +157,7 @@ class ClientPopulation {
   std::vector<u16> poll_s_;       ///< current poll interval, seconds
   std::vector<u8> flags_;
 
-  sim::WheelQueue queue_;  ///< payload = client index
+  sim::SecondCalendar queue_;  ///< payload = client index
   sim::EventHandle driver_;
   sim::Time driver_at_;
   bool driver_armed_ = false;

@@ -221,6 +221,24 @@ TEST(CampaignCli, ParsesJournalResumeAndOutFlags) {
   EXPECT_FALSE(parse({"--out"}).ok);
 }
 
+TEST(CampaignCli, RejectsInProcessFlagsWithWorkers) {
+  // Under --workers, trials run in child processes: a trace, a dump or a
+  // metrics section gathered by the coordinator would silently come out
+  // empty, so each must be refused up front.
+  const std::vector<std::string> dist = {"--workers", "2", "--journal", "j"};
+  auto with = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = dist;
+    args.insert(args.end(), extra.begin(), extra.end());
+    return parse(args);
+  };
+  EXPECT_TRUE(with({}).ok);
+  EXPECT_FALSE(with({"--trace", "trace.json"}).ok);
+  EXPECT_FALSE(with({"--dump", "dumps"}).ok);
+  EXPECT_FALSE(with({"--metrics"}).ok);
+  // A single process keeps --metrics.
+  EXPECT_TRUE(parse({"--workers", "1", "--journal", "j", "--metrics"}).ok);
+}
+
 TEST(CampaignTrial, ChronosWithZeroHonestRoundsHandsAttackerTheWholePool) {
   ScenarioSpec spec = chronos_scenario(/*honest_rounds=*/0);
   TrialContext ctx{.campaign_seed = 1, .trial = 0, .seed = 1234};

@@ -2,7 +2,7 @@
 // worlds, only wider. The pins here are the population contract:
 // determinism across runs, a genuine shared-resolver poisoning that
 // migrates with DNS TTL rollover, the rate-limit herd effect, and the
-// <= 64 B/client memory budget.
+// <= 40 B/client memory budget.
 #include "scenario/population.h"
 
 #include <gtest/gtest.h>
@@ -119,9 +119,11 @@ TEST(ClientPopulation, ResidentMemoryStaysUnderBudget) {
   World world(wc);
   ClientPopulation pop(world, small_config(50'000, 21));
   world.run_for(Duration::seconds(150));
-  EXPECT_LE(pop.resident_bytes_per_client(), 64.0)
-      << "flat SoA state plus wheel entries must stay within the "
-         "64 B/client population budget";
+  // Measured 30.7 B/client: 19 B of SoA state, 8 B per calendar slot plus
+  // bucket growth slack, and the scratch vectors.
+  EXPECT_LE(pop.resident_bytes_per_client(), 40.0)
+      << "flat SoA state plus calendar slots must stay within the "
+         "40 B/client population budget";
   EXPECT_GT(pop.metrics().polls, 0u);
 }
 
