@@ -16,6 +16,7 @@
 #include "campaign/report.h"
 #include "campaign/store/journal.h"
 #include "dns/message.h"
+#include "net/icmp.h"
 #include "net/reassembly.h"
 #include "ntp/packet.h"
 
@@ -114,6 +115,23 @@ void ntp_seeds() {
   resp.upstream_addrs = {Ipv4Addr{0x0A000001}, Ipv4Addr{0x0A000002}};
   resp.configured_hostname = "0.debian.pool.ntp.org";
   write_seed("ntp_packet", "config-response", encode_config_response(resp));
+}
+
+void icmp_frag_needed_seeds() {
+  using namespace dnstime::net;
+  // The §III-1 forgery: "packets from the nameserver to the resolver need
+  // fragments of at most 296 bytes" (World's addresses and attack_mtu).
+  write_seed("icmp_frag_needed", "attack-mtu-296",
+             encode_icmp_frag_needed({.mtu = 296,
+                                      .orig_src = Ipv4Addr{198, 51, 100, 53},
+                                      .orig_dst = Ipv4Addr{10, 53, 0, 1},
+                                      .orig_protocol = kProtoUdp}));
+  // RFC 791's floor, quoting an ICMP packet instead of UDP.
+  write_seed("icmp_frag_needed", "min-mtu-icmp",
+             encode_icmp_frag_needed({.mtu = kMinimumMtu,
+                                      .orig_src = Ipv4Addr{1, 1, 1, 1},
+                                      .orig_dst = Ipv4Addr{2, 2, 2, 2},
+                                      .orig_protocol = kProtoIcmp}));
 }
 
 void reassembly_seeds() {
@@ -241,6 +259,7 @@ int main(int argc, char** argv) {
   g_out = argv[1];
   dns_seeds();
   ntp_seeds();
+  icmp_frag_needed_seeds();
   reassembly_seeds();
   report_seeds();
   journal_seeds();

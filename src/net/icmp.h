@@ -24,6 +24,9 @@ struct IcmpFragNeeded {
   Ipv4Addr orig_src;
   Ipv4Addr orig_dst;
   u8 orig_protocol = kProtoUdp;
+
+  friend bool operator==(const IcmpFragNeeded&,
+                         const IcmpFragNeeded&) = default;
 };
 
 /// Encode a full ICMP message (type/code/checksum + MTU + embedded header).

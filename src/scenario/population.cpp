@@ -118,64 +118,63 @@ void ClientPopulation::rearm_driver() {
 
 void ClientPopulation::pump() {
   driver_armed_ = false;  // our handle just fired
-  const sim::Time now = world_.loop().now();
   due_scratch_.clear();
-  sim::SecondCalendar::Entry e;
-  while (const std::optional<sim::SecondCalendar::Entry> top = queue_.peek()) {
-    if (top->at > now) break;
-    queue_.pop(e);
-    due_scratch_.push_back(e.payload);
-  }
+  queue_.pop_due(world_.loop().now(), due_scratch_);
 
   const u64 s = now_s();
-  std::vector<u32> polls;
-  polls.reserve(due_scratch_.size());
+  // A cohort re-arms batch by batch, so consecutive due clients mostly
+  // share a server: look its list up only when the server changes.
+  u32 server = 0;  // never on the wire
+  std::vector<u32>* polls = nullptr;
   for (u32 i : due_scratch_) {
     if (server_[i] == 0 || dns_expiry_s_[i] <= s) {
-      if (!cached_a_.empty() && s < cache_expiry_s_) {
-        // The shared resolver would answer this from its cache; serve the
-        // fleet-level copy instead of issuing another query.
-        server_[i] = cached_a_[cache_next_++ % cached_a_.size()];
-        dns_expiry_s_[i] = cache_expiry_s_;
-        polls.push_back(i);
-      } else {
+      if (cached_a_.empty() || s >= cache_expiry_s_) {
         // Unresolved or TTL-expired: this poll waits on the shared
         // resolver.
         dns_waiters_.push_back(i);
         metrics_.dns_waits++;
+        continue;
       }
-    } else {
-      polls.push_back(i);
+      // The shared resolver would answer this from its cache; serve the
+      // fleet-level copy instead of issuing another query.
+      server_[i] = cached_a_[cache_next_++ % cached_a_.size()];
+      dns_expiry_s_[i] = cache_expiry_s_;
     }
+    if (server_[i] != server) {
+      server = server_[i];
+      polls = &polls_for(server);
+    }
+    polls->push_back(i);
   }
-  dispatch_polls(polls);
+  dispatch_polls();
   maybe_resolve();
   rearm_driver();
 }
 
-void ClientPopulation::dispatch_polls(std::vector<u32>& due) {
-  if (due.empty()) return;
-  // Group by assigned server. stable_sort keeps the calendar's (time, seq)
-  // pop order within a group, so batch membership is deterministic.
-  std::stable_sort(due.begin(), due.end(), [this](u32 a, u32 b) {
-    return server_[a] < server_[b];
-  });
-  std::size_t start = 0;
-  while (start < due.size()) {
-    const u32 server = server_[due[start]];
-    std::size_t end = start;
-    while (end < due.size() && server_[due[end]] == server &&
-           end - start < config_.batch_cap) {
-      end++;
+std::vector<u32>& ClientPopulation::polls_for(u32 server) {
+  const auto it = std::lower_bound(
+      by_server_.begin(), by_server_.end(), server,
+      [](const ServerPolls& p, u32 key) { return p.server < key; });
+  if (it != by_server_.end() && it->server == server) return it->clients;
+  return by_server_.insert(it, ServerPolls{server, {}})->clients;
+}
+
+void ClientPopulation::dispatch_polls() {
+  for (ServerPolls& p : by_server_) {
+    const std::span<const u32> polls = p.clients;
+    for (std::size_t start = 0; start < polls.size();
+         start += config_.batch_cap) {
+      begin_exchange(Ipv4Addr(p.server),
+                     polls.subspan(start, std::min<std::size_t>(
+                                              config_.batch_cap,
+                                              polls.size() - start)));
     }
-    begin_exchange(Ipv4Addr(server),
-                   std::vector<u32>(due.begin() + static_cast<std::ptrdiff_t>(start),
-                                    due.begin() + static_cast<std::ptrdiff_t>(end)));
-    start = end;
+    p.clients.clear();
   }
 }
 
-void ClientPopulation::begin_exchange(Ipv4Addr server, std::vector<u32> batch) {
+void ClientPopulation::begin_exchange(Ipv4Addr server,
+                                      std::span<const u32> batch) {
   World::Host* gw = gateways_[gw_next_++ % gateways_.size()];
   net::NetStack& stack = *gw->stack;
   const u16 port = stack.ephemeral_port();
@@ -186,7 +185,7 @@ void ClientPopulation::begin_exchange(Ipv4Addr server, std::vector<u32> batch) {
   metrics_.exchanges++;
   metrics_.polls += batch.size();
 
-  auto state = std::make_shared<std::vector<u32>>(std::move(batch));
+  auto state = std::make_shared<std::vector<u32>>(batch.begin(), batch.end());
   auto done = std::make_shared<bool>(false);
   enum { kTimeout, kKod, kSample };
   auto finish = [this, gw, port, state, done](int outcome, double offset) {
@@ -347,7 +346,11 @@ double ClientPopulation::resident_bytes_per_client() const {
                       dns_waiters_.capacity() * sizeof(u32) +
                       due_scratch_.capacity() * sizeof(u32) +
                       cached_a_.capacity() * sizeof(u32) +
+                      by_server_.capacity() * sizeof(ServerPolls) +
                       queue_.memory_bytes();
+  for (const ServerPolls& p : by_server_) {
+    bytes += p.clients.capacity() * sizeof(u32);
+  }
   return static_cast<double>(bytes) / static_cast<double>(config_.clients);
 }
 

@@ -27,12 +27,18 @@
 // population-scale version of the paper's shared-resolver amplification
 // (§VIII-B3: one cache entry redirects every client behind the resolver).
 //
-// Determinism: deadlines pop from the calendar in (time, push) order,
-// batching sorts by server address with std::stable_sort, gateways rotate
-// round-robin, and the only randomness is the seeded Rng that staggers
-// initial polls. Equal seeds give byte-equal fleet state at any point.
+// Determinism: deadlines pop from the calendar in (time, push) order, and
+// one pass over a due second appends each poll that goes on the wire to
+// its server's list in that order. The lists are emitted in ascending
+// server address and cut at batch_cap, so every batch holds exactly the
+// clients a stable sort by server would have put there, in the same
+// order: a stable sort keeps pop order among equal servers, and so does
+// appending. Gateways rotate round-robin over the emitted batches, and
+// the only randomness is the seeded Rng that staggers initial polls.
+// Equal seeds give byte-equal fleet state at any point.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,13 +128,17 @@ class ClientPopulation {
   void arm(u32 i, u64 delay_s);
   void backoff(u32 i);
 
-  /// Driver: pops every due calendar entry, groups the due clients, sends
-  /// the representative exchanges / the shared DNS query, re-arms itself
-  /// at the calendar's next deadline.
+  /// Driver: pops every due calendar entry, groups the due clients by
+  /// server, sends the representative exchanges / the shared DNS query,
+  /// re-arms itself at the calendar's next deadline.
   void pump();
   void rearm_driver();
-  void dispatch_polls(std::vector<u32>& due);
-  void begin_exchange(Ipv4Addr server, std::vector<u32> batch);
+  /// The polls list of `server`, added in address order on first use.
+  std::vector<u32>& polls_for(u32 server);
+  /// Send every grouped poll, ascending server address, <= batch_cap
+  /// clients per exchange, and empty the lists.
+  void dispatch_polls();
+  void begin_exchange(Ipv4Addr server, std::span<const u32> batch);
   void maybe_resolve();
   void on_dns(const std::vector<dns::ResourceRecord>& answers);
   void apply_offset(u32 i, double server_offset);
@@ -164,6 +174,16 @@ class ClientPopulation {
 
   std::vector<u32> dns_waiters_;
   std::vector<u32> due_scratch_;
+
+  /// This pump's wire polls grouped by server, ascending address, each
+  /// list in pop order. Kept across pumps, so a steady fleet allocates
+  /// nothing here; servers come only from resolver answers, so the table
+  /// stays at most pool_size + attacker_ntp_count entries.
+  struct ServerPolls {
+    u32 server = 0;
+    std::vector<u32> clients;
+  };
+  std::vector<ServerPolls> by_server_;
 
   Metrics metrics_;
 };

@@ -7,9 +7,10 @@
 // strictly before s, and an off-grid push happens at its own time, so each
 // bucket fills in (time, push-order) order and popping the earliest bucket
 // front to back pops in (time, seq) order — what a heap would pop, at O(1)
-// per push and pop. tests/sim/second_calendar_test.cpp checks that
-// pop-for-pop against a std::priority_queue; src/sim/README.md has the
-// contract and when to use the heap instead.
+// per push and pop. pop_due() drains everything due in one pass per
+// second. tests/sim/second_calendar_test.cpp checks each drain against a
+// std::priority_queue; src/sim/README.md has the contract and when to use
+// the heap instead.
 #pragma once
 
 #include <algorithm>
@@ -43,8 +44,8 @@ class SecondCalendar {
       throw std::logic_error("SecondCalendar: push into the past");
     }
     const u64 s = static_cast<u64>(at.ns() / kNsPerS);
-    // pop() moves the cursor past empty seconds; a push into one of them
-    // moves it back (nothing there has popped yet).
+    // pop_due() moves the cursor past empty seconds; a push into one of
+    // them moves it back (nothing there has popped yet).
     const u64 lo = size_ == 0 ? s : std::min(cur_, s);
     const u64 hi = size_ == 0 ? s : std::max(hi_, s);
     if (hi - lo > mask_) {
@@ -70,17 +71,28 @@ class SecondCalendar {
                  slot.payload};
   }
 
-  /// Pop the earliest entry into `out`; false when empty. A drained
-  /// second frees its bucket, so memory follows the live entries, and the
-  /// cursor moves on to the next queued second.
-  bool pop(Entry& out) {
-    const std::optional<Entry> head = peek();
-    if (!head) return false;
-    out = *head;
-    floor_ = out.at;
-    size_--;
-    Bucket& b = ring_[cur_ & mask_];
-    if (++b.head == b.slots.size()) {
+  /// Append the payload of every entry due at or before `now` to `out`, in
+  /// (at, push) order: one front-to-back pass over each due bucket, which
+  /// stops at the first entry past `now`. A drained second frees its
+  /// bucket, so memory follows the live entries, and the cursor moves on to
+  /// the next queued second.
+  void pop_due(Time now, std::vector<u32>& out) {
+    while (size_ != 0) {
+      const i64 base = static_cast<i64>(cur_) * kNsPerS;
+      if (base > now.ns()) return;
+      Bucket& b = ring_[cur_ & mask_];
+      const i64 due_ns = now.ns() - base;  // entries past this stay queued
+      std::size_t h = b.head;
+      while (h < b.slots.size() && b.slots[h].ns <= due_ns) {
+        out.push_back(b.slots[h++].payload);
+      }
+      if (h == b.head) return;
+      floor_ = Time::from_ns(base + b.slots[h - 1].ns);
+      size_ -= h - b.head;
+      if (h < b.slots.size()) {
+        b.head = h;
+        return;
+      }
       std::vector<Slot>().swap(b.slots);
       b.head = 0;
       if (size_ != 0) {
@@ -88,7 +100,6 @@ class SecondCalendar {
         while (ring_[cur_ & mask_].slots.empty());
       }
     }
-    return true;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -12,12 +12,7 @@ TEST(IcmpCodec, FragNeededRoundTrip) {
                      .orig_src = Ipv4Addr{10, 0, 0, 1},
                      .orig_dst = Ipv4Addr{10, 0, 0, 2},
                      .orig_protocol = kProtoUdp};
-  Bytes wire = encode_icmp_frag_needed(msg);
-  IcmpFragNeeded back = decode_icmp_frag_needed(wire);
-  EXPECT_EQ(back.mtu, 296);
-  EXPECT_EQ(back.orig_src, msg.orig_src);
-  EXPECT_EQ(back.orig_dst, msg.orig_dst);
-  EXPECT_EQ(back.orig_protocol, kProtoUdp);
+  EXPECT_EQ(decode_icmp_frag_needed(encode_icmp_frag_needed(msg)), msg);
 }
 
 TEST(IcmpCodec, ChecksumDetectsCorruption) {

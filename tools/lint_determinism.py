@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Determinism lint for the simulation/campaign/obs sources.
+"""Determinism lint for the simulation/campaign/obs/scenario sources.
 
 The repo's core contract is that a campaign report is a pure function of
 its seed: byte-identical at any thread count, across resume, and across
 machines.  This lint walks the directories that own that contract
-(src/sim, src/campaign, src/obs) and rejects the constructs that break it:
+(src/sim, src/campaign, src/obs, and src/scenario, where the population
+fleet's batch ordering lives) and rejects the constructs that break it:
 
   wallclock    reads of the host clock (std::chrono::*_clock::now, time(),
                gettimeofday, clock_gettime, localtime/gmtime).  Simulation
@@ -56,7 +57,7 @@ import re
 import sys
 from pathlib import Path
 
-DEFAULT_DIRS = ["src/sim", "src/campaign", "src/obs"]
+DEFAULT_DIRS = ["src/sim", "src/campaign", "src/obs", "src/scenario"]
 SUFFIXES = {".h", ".cpp"}
 
 ALLOW_RE = re.compile(r"det-lint:\s*allow\((?P<rule>[a-z-]+)\)\s*(?P<why>\S.*)?")
