@@ -122,10 +122,6 @@ void ClientPopulation::pump() {
   queue_.pop_due(world_.loop().now(), due_scratch_);
 
   const u64 s = now_s();
-  // A cohort re-arms batch by batch, so consecutive due clients mostly
-  // share a server: look its list up only when the server changes.
-  u32 server = 0;  // never on the wire
-  std::vector<u32>* polls = nullptr;
   for (u32 i : due_scratch_) {
     if (server_[i] == 0 || dns_expiry_s_[i] <= s) {
       if (cached_a_.empty() || s >= cache_expiry_s_) {
@@ -140,11 +136,7 @@ void ClientPopulation::pump() {
       server_[i] = cached_a_[cache_next_++ % cached_a_.size()];
       dns_expiry_s_[i] = cache_expiry_s_;
     }
-    if (server_[i] != server) {
-      server = server_[i];
-      polls = &polls_for(server);
-    }
-    polls->push_back(i);
+    polls_for(server_[i]).push_back(i);
   }
   dispatch_polls();
   maybe_resolve();
