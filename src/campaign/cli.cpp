@@ -27,20 +27,6 @@ void usage(const char* prog, bool scenario_flags) {
                prog, scenario_flags ? " [--filter PREFIX]" : "");
 }
 
-/// Strict unsigned-decimal token parse. std::strtoull alone accepts
-/// leading whitespace, '+'/'-' (negatives wrap around!) and stops at
-/// trailing junk — all of which must be errors for a flag value.
-bool parse_u64_token(const char* s, u64& out) {
-  if (s == nullptr || *s == '\0') return false;
-  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 /// Process-wide buffer-pool stats as JSON: totals plus a sparse per-class
 /// map keyed by block size (classes with no activity are omitted, so quiet
 /// size classes do not bloat the output).
@@ -107,6 +93,18 @@ std::string metrics_table() {
 }
 
 }  // namespace
+
+bool parse_u64_token(const char* s, u64& out) {
+  if (s == nullptr || !std::isdigit(static_cast<unsigned char>(*s))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  out = v;
+  return true;
+}
 
 CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
                      bool scenario_flags) {

@@ -56,6 +56,13 @@ struct CliOptions {
                                    CliOptions defaults,
                                    bool scenario_flags = false);
 
+/// Strict unsigned-decimal token parse, the one every campaign flag and
+/// tool argument goes through: a full run of digits in u64 range. Leading
+/// whitespace, signs, trailing junk and overflow fail (std::strtoull alone
+/// would accept them, and negatives would wrap). Leaves `out` untouched on
+/// failure.
+[[nodiscard]] bool parse_u64_token(const char* s, u64& out);
+
 /// Writes the report — to_json() when opts.json, to_table() otherwise —
 /// to opts.out, or stdout when opts.out is empty. Journaled campaigns
 /// (config.journal_dir set) serialise aggregates only: the per-trial rows

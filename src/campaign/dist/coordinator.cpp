@@ -15,31 +15,17 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "campaign/dist/lease.h"
 #include "campaign/dist/worker.h"
+#include "campaign/progress_merge.h"
 #include "campaign/store/journal.h"
 #include "campaign/store/journal_reader.h"
-#include "obs/json_util.h"
 
 namespace dnstime::campaign::dist {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 /// The coordinator's view of one worker process.
 struct WorkerProc {
@@ -146,59 +132,9 @@ CampaignReport run_coordinator(const CampaignConfig& config,
   const u64 total = static_cast<u64>(scenarios.size()) * trials;
   const store::JournalMeta meta =
       store::JournalMeta::describe(config.seed, trials, scenarios);
-  {
-    // Same up-front identity guard as CampaignRunner::run_journaled:
-    // records are keyed by scenario-name hash, so collisions must fail
-    // before any process journals anything.
-    std::unordered_map<u64, const std::string*> names;
-    names.reserve(meta.scenarios.size());
-    for (const store::JournalMeta::Scenario& s : meta.scenarios) {
-      auto [it, inserted] = names.emplace(store::fnv1a(s.name), &s.name);
-      if (!inserted) {
-        throw std::invalid_argument(
-            "cannot journal campaign: scenario name '" + s.name +
-            (*it->second == s.name
-                 ? "' is duplicated"
-                 : "' hash-collides with '" + *it->second + "'"));
-      }
-    }
-  }
-  fs::create_directories(dir);
-
-  store::JournalScan scan = store::scan_journal(dir);
-  if (!scan.shards.empty() && !config.resume) {
-    throw std::runtime_error(
-        "journal directory '" + dir +
-        "' already contains shards; pass resume (--resume) to continue "
-        "that campaign or point --journal at a fresh directory");
-  }
-  u32 next_shard_id = 0;
-  for (const store::ShardState& st : scan.shards) {
-    next_shard_id = std::max(next_shard_id, st.shard_id + 1);
-  }
-  if (config.resume && scan.found) {
-    if (scan.meta.campaign_seed != meta.campaign_seed) {
-      throw std::runtime_error(
-          "cannot resume: journal '" + dir + "' was written with seed " +
-          std::to_string(scan.meta.campaign_seed) + ", this campaign uses " +
-          std::to_string(meta.campaign_seed));
-    }
-    if (scan.meta.trials_per_scenario != meta.trials_per_scenario) {
-      throw std::runtime_error(
-          "cannot resume: journal '" + dir + "' ran " +
-          std::to_string(scan.meta.trials_per_scenario) +
-          " trials/scenario, this campaign runs " +
-          std::to_string(meta.trials_per_scenario));
-    }
-    if (scan.meta.fingerprint() != meta.fingerprint()) {
-      throw std::runtime_error("cannot resume: journal '" + dir +
-                               "' describes a different scenario set");
-    }
-  }
-  if (config.resume) store::truncate_torn_tails(scan);
-
-  LeaseBook book(store::pending_ranges(scan, scenarios.size(), trials), total,
-                 opt.workers, next_shard_id);
+  const store::OpenedJournal journal =
+      store::open_journal(dir, meta, config.resume);
+  LeaseBook book(journal.pending, total, opt.workers, journal.next_shard_id);
 
   // Coordinator-side fleet progress stream (campaign-level lines only; the
   // per-scenario detail comes from the workers' own files in the same
@@ -227,22 +163,9 @@ CampaignReport run_coordinator(const CampaignConfig& config,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       campaign_start)
             .count();
-    std::string line;
-    line.reserve(128);
-    line += "{\"campaign_done\":";
-    line += std::to_string(done);
-    line += ",\"campaign_total\":";
-    line += std::to_string(book.target());
-    line += ",\"elapsed_s\":";
-    obs::append_double(line, elapsed_s);
-    line += ",\"eta_s\":";
-    obs::append_double(
-        line, done == 0 ? 0.0
-                        : elapsed_s *
-                              static_cast<double>(book.target() - done) /
-                              static_cast<double>(done));
-    line += "}\n";
-    std::fputs(line.c_str(), progress_file);
+    ProgressLine line;
+    line.campaign = {done, book.target(), elapsed_s};
+    std::fputs(line.encode().c_str(), progress_file);
     std::fflush(progress_file);
   };
 
@@ -427,43 +350,9 @@ CampaignReport run_coordinator(const CampaignConfig& config,
     }
   }
 
-  // Identical fold to CampaignRunner::run_journaled: merge the shards back
-  // into global trial order and stream them through the aggregate
-  // builders. The journal, not the DONE accounting, is the ground truth —
-  // the counts check makes any divergence a hard error.
-  std::vector<ScenarioAggregateBuilder> builders;
-  builders.reserve(scenarios.size());
-  for (const ScenarioSpec& spec : scenarios) {
-    builders.emplace_back(spec.name, to_string(spec.attack),
-                          /*keep_results=*/false);
-  }
-  std::vector<u32> counts(scenarios.size(), 0);
-  if (total > 0) {
-    store::JournalMerge merge(dir);
-    if (merge.valid()) {
-      store::JournalRecord rec;
-      while (merge.next(rec)) {
-        counts[rec.scenario]++;
-        builders[rec.scenario].add(std::move(rec.result));
-      }
-    }
-  }
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    if (counts[s] != trials) {
-      throw std::runtime_error(
-          "journal '" + dir + "' is incomplete after the run: scenario '" +
-          scenarios[s].name + "' has " + std::to_string(counts[s]) + " of " +
-          std::to_string(trials) + " trials");
-    }
-  }
-  CampaignReport report;
-  report.seed = config.seed;
-  report.trials_per_scenario = trials;
-  report.scenarios.reserve(builders.size());
-  for (ScenarioAggregateBuilder& b : builders) {
-    report.scenarios.push_back(std::move(b).finish());
-  }
-  return report;
+  // The same fold as CampaignRunner's journaled runs: the journal, not
+  // the DONE accounting, is the ground truth.
+  return store::read_finished_report(dir, meta);
 }
 
 }  // namespace dnstime::campaign::dist

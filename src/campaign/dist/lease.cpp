@@ -1,6 +1,10 @@
 #include "campaign/dist/lease.h"
 
+#include <unistd.h>
+
 #include <cassert>
+#include <cerrno>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -104,6 +108,19 @@ std::optional<Msg> Msg::parse(const std::string& line) {
     return m;
   }
   return std::nullopt;
+}
+
+bool write_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 LeaseBook::LeaseBook(std::vector<TrialRange> pending, u64 total_trials,

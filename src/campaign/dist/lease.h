@@ -65,6 +65,10 @@ struct Msg {
   [[nodiscard]] static std::optional<Msg> parse(const std::string& line);
 };
 
+/// Writes all of `data` to pipe `fd`, retrying short writes and EINTR.
+/// False on any other write error (e.g. EPIPE once the peer is gone).
+[[nodiscard]] bool write_all(int fd, const std::string& data);
+
 /// Tracks outstanding leases, per-worker progress, and the global done set.
 /// All mutation is driven by the coordinator's event loop; time never
 /// appears here, so identical event sequences yield identical decisions.

@@ -12,11 +12,11 @@
 #include <string>
 
 #include "campaign/dist/lease.h"
+#include "campaign/progress_merge.h"
 #include "campaign/store/journal.h"
 #include "campaign/store/shard_writer.h"
 #include "campaign/trial.h"
-#include "common/stats.h"
-#include "obs/json_util.h"
+#include "obs/provenance.h"
 
 namespace dnstime::campaign::dist {
 namespace {
@@ -83,62 +83,10 @@ class LineReader {
   bool eof_ = false;
 };
 
-bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 struct ScenarioProgress {
   u32 done = 0;
   u32 successes = 0;
 };
-
-/// One worker-local progress line. Deliberately wall-clock free (no
-/// elapsed/ETA) and without campaign_* fields: those are fleet-level facts
-/// only the coordinator knows; the watcher's merger recomputes rates from
-/// the summed counts.
-void append_progress(std::FILE* f, const ScenarioSpec& spec, u32 trial_idx,
-                     bool success, u32 worker_id, u32 trials,
-                     ScenarioProgress& sp) {
-  if (f == nullptr) return;
-  sp.done++;
-  if (success) sp.successes++;
-  const WilsonInterval ci = wilson_interval(sp.successes, sp.done);
-  std::string line;
-  line.reserve(256);
-  line += "{\"scenario\":\"";
-  obs::append_escaped(line, spec.name.c_str());
-  line += "\",\"trial\":";
-  line += std::to_string(trial_idx);
-  line += ",\"success\":";
-  line += success ? "true" : "false";
-  line += ",\"done\":";
-  line += std::to_string(sp.done);
-  line += ",\"trials\":";
-  line += std::to_string(trials);
-  line += ",\"successes\":";
-  line += std::to_string(sp.successes);
-  line += ",\"rate\":";
-  obs::append_double(line, static_cast<double>(sp.successes) /
-                               static_cast<double>(sp.done));
-  line += ",\"wilson_low\":";
-  obs::append_double(line, ci.low);
-  line += ",\"wilson_high\":";
-  obs::append_double(line, ci.high);
-  line += ",\"worker\":";
-  line += std::to_string(worker_id);
-  line += "}\n";
-  std::fputs(line.c_str(), f);
-  std::fflush(f);
-}
 
 }  // namespace
 
@@ -228,22 +176,9 @@ int run_worker(const CampaignConfig& config,
             static_cast<std::size_t>(idx / trials);
         const u32 trial_idx = static_cast<u32>(idx % trials);
         const ScenarioSpec& spec = scenarios[scenario_idx];
-        TrialContext ctx;
-        ctx.campaign_seed = config.seed;
-        ctx.trial = trial_idx;
-        ctx.seed = CampaignRunner::trial_seed(config.seed, spec, trial_idx);
-        TrialResult result;
-        try {
-          result = run_trial(spec, ctx);
-        } catch (const std::exception& e) {
-          result.trial = trial_idx;
-          result.seed = ctx.seed;
-          result.error = e.what();
-        } catch (...) {
-          result.trial = trial_idx;
-          result.seed = ctx.seed;
-          result.error = "unknown exception";
-        }
+        obs::FlightRecorder flight;
+        const TrialResult result =
+            execute_trial(spec, config.seed, trial_idx, flight);
         writer.append(static_cast<u32>(scenario_idx), result);
         // DONE only after the journal frame is flushed: the coordinator's
         // watermark must never run ahead of durable results, or a crash
@@ -258,9 +193,18 @@ int run_worker(const CampaignConfig& config,
           return kWorkerProtocol;
         }
         if (progress_file != nullptr) {
-          append_progress(progress_file, spec, trial_idx, result.success,
-                          opt.worker_id, trials,
-                          progress_state[scenario_idx]);
+          // Deliberately wall-clock free and without campaign_* fields:
+          // those are fleet-level facts only the coordinator knows; the
+          // watcher's merger recomputes rates from the summed counts.
+          ScenarioProgress& sp = progress_state[scenario_idx];
+          sp.done++;
+          if (result.success) sp.successes++;
+          ProgressLine progress;
+          progress.trial = {spec.name, trial_idx, result.success,
+                            sp.done,   trials,    sp.successes};
+          progress.worker = opt.worker_id;
+          std::fputs(progress.encode().c_str(), progress_file);
+          std::fflush(progress_file);
         }
       }
       writer.close();

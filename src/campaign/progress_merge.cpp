@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/stats.h"
+#include "obs/json_util.h"
 
 namespace dnstime::campaign {
 namespace {
@@ -52,6 +53,57 @@ bool find_scenario(const std::string& line, std::string& out) {
 }
 
 }  // namespace
+
+std::string ProgressLine::encode() const {
+  std::string line;
+  line.reserve(256);
+  line += '{';
+  if (trial) {
+    const Trial& t = *trial;
+    const WilsonInterval ci = wilson_interval(t.successes, t.done);
+    line += "\"scenario\":\"";
+    obs::append_escaped(line, t.scenario.c_str());
+    line += "\",\"trial\":";
+    line += std::to_string(t.trial);
+    line += ",\"success\":";
+    line += t.success ? "true" : "false";
+    line += ",\"done\":";
+    line += std::to_string(t.done);
+    line += ",\"trials\":";
+    line += std::to_string(t.trials);
+    line += ",\"successes\":";
+    line += std::to_string(t.successes);
+    line += ",\"rate\":";
+    obs::append_double(line, static_cast<double>(t.successes) /
+                                 static_cast<double>(t.done));
+    line += ",\"wilson_low\":";
+    obs::append_double(line, ci.low);
+    line += ",\"wilson_high\":";
+    obs::append_double(line, ci.high);
+  }
+  if (campaign) {
+    const Campaign& c = *campaign;
+    if (trial) line += ',';
+    line += "\"campaign_done\":";
+    line += std::to_string(c.done);
+    line += ",\"campaign_total\":";
+    line += std::to_string(c.total);
+    line += ",\"elapsed_s\":";
+    obs::append_double(line, c.elapsed_s);
+    line += ",\"eta_s\":";
+    obs::append_double(line, c.done == 0
+                                 ? 0.0
+                                 : c.elapsed_s *
+                                       static_cast<double>(c.total - c.done) /
+                                       static_cast<double>(c.done));
+  }
+  if (worker) {
+    line += ",\"worker\":";
+    line += std::to_string(*worker);
+  }
+  line += "}\n";
+  return line;
+}
 
 void ProgressMerger::feed(std::size_t file_id, const char* data,
                           std::size_t len) {

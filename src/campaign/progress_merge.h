@@ -1,4 +1,5 @@
-// Merging reader for campaign progress streams (JSON Lines).
+// Campaign progress streams (JSON Lines): the line writer every campaign
+// mode uses, and the merging reader campaign_watch folds them with.
 //
 // A single-process campaign writes one --progress file; a distributed one
 // writes a directory: worker-<id>.jsonl per process (per-scenario counts,
@@ -15,6 +16,7 @@
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,6 +24,34 @@
 #include "common/types.h"
 
 namespace dnstime::campaign {
+
+/// One progress line. Which parts are set picks the line's shape: the
+/// single-process runner writes trial + campaign, a dist worker trial +
+/// worker, the dist coordinator campaign only. Keys always appear in the
+/// order encode() writes them.
+struct ProgressLine {
+  /// One finished trial and its scenario's running counts (which include
+  /// it); encode() derives the rate and Wilson interval from the counts.
+  struct Trial {
+    std::string scenario;
+    u32 trial = 0;
+    bool success = false;
+    u32 done = 0;
+    u32 trials = 0;  ///< the scenario's trial target
+    u32 successes = 0;
+  };
+  /// Campaign-wide counts and wall seconds since the campaign started.
+  struct Campaign {
+    u64 done = 0;
+    u64 total = 0;
+    double elapsed_s = 0.0;
+  };
+  std::optional<Trial> trial;
+  std::optional<Campaign> campaign;
+  std::optional<u32> worker;
+
+  [[nodiscard]] std::string encode() const;  ///< includes trailing '\n'
+};
 
 class ProgressMerger {
  public:

@@ -1,5 +1,6 @@
 #include "campaign/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -9,16 +10,14 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
+#include "campaign/progress_merge.h"
 #include "campaign/store/journal.h"
 #include "campaign/store/journal_reader.h"
 #include "campaign/store/shard_writer.h"
 #include "campaign/trial.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "obs/counters.h"
-#include "obs/json_util.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
 
@@ -198,61 +197,19 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
       const std::size_t scenario_idx = i / trials;
       const u32 trial_idx = static_cast<u32>(i % trials);
       const ScenarioSpec& spec = scenarios[scenario_idx];
-      TrialContext ctx;
-      ctx.campaign_seed = config_.seed;
-      ctx.trial = trial_idx;
-      ctx.seed = trial_seed(config_.seed, spec, trial_idx);
 #if DNSTIME_OBS
       // det-lint: allow(wallclock) trial_wall_us histogram, metrics-only
       const auto trial_start = std::chrono::steady_clock::now();
 #endif
-      TrialResult result;
-      auto execute_trial = [&] {
-        try {
-          result = run_trial(spec, ctx);
-        } catch (const std::exception& e) {
-          result.trial = trial_idx;
-          result.seed = ctx.seed;
-          result.error = e.what();
-        } catch (...) {
-          result.trial = trial_idx;
-          result.seed = ctx.seed;
-          result.error = "unknown exception";
-        }
-      };
-#if DNSTIME_OBS
-      // Always-on flight recorder: installed before the trial constructs
-      // its World (the World feeds it the attacker-controlled addresses)
-      // and observing sim time only, so recording never perturbs results.
       obs::FlightRecorder flight;
-      flight.set_meta(spec.name, config_.seed, trial_idx, ctx.seed);
-      obs::ScopedFlightRecorder flight_install(&flight);
-#endif
-      if (tracing && i == config_.trace_index) {
-        obs::TraceRecorder recorder;
-        recorder.set_meta(spec.name, config_.seed, trial_idx);
-        obs::ScopedTrace install(&recorder);
-        execute_trial();
-        trace_json = recorder.to_json();  // read after the pool joins
-        DNSTIME_COUNT_ADD("obs.trace_events", recorder.size());
-        DNSTIME_COUNT_ADD("obs.trace_dropped", recorder.dropped());
-      } else {
-        execute_trial();
-      }
+      obs::TraceRecorder recorder;
+      const bool traced = tracing && i == config_.trace_index;
+      TrialResult result = execute_trial(spec, config_.seed, trial_idx, flight,
+                                         traced ? &recorder : nullptr);
+      if (traced) trace_json = recorder.to_json();  // read after the join
 #if DNSTIME_OBS
-      if (!result.error.empty()) flight.error(result.error);
-      DNSTIME_HIST("obs.flight_ring_occupancy",
-                   static_cast<u64>(flight.size()));
-      DNSTIME_COUNT_ADD("obs.flight_events", flight.recorded());
-      DNSTIME_COUNT_ADD("obs.flight_overwritten", flight.overwritten());
       if (dumping && should_dump(dump_mode, spec, result)) {
-        obs::FlightRecorder::DumpContext dctx;
-        dctx.has_result = true;
-        dctx.success = result.success;
-        dctx.duration_s = result.duration_s;
-        dctx.clock_shift_s = result.clock_shift_s;
-        dctx.error = result.error;
-        const std::string json = flight.to_json(dctx);
+        const std::string json = narrative_json(flight, result);
         const std::string path =
             (std::filesystem::path(config_.dump_dir) /
              dump_file_name(spec.name, trial_idx))
@@ -274,8 +231,6 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
           }
         }
       }
-#endif
-#if DNSTIME_OBS
       const double trial_s =
           // det-lint: allow(wallclock) trial_wall_us histogram, metrics-only
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -309,41 +264,11 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
         sp.done++;
         if (stored->success) sp.successes++;
         executed_total++;
-        const WilsonInterval ci = wilson_interval(sp.successes, sp.done);
-        const std::size_t remaining = pending_total - executed_total;
-        std::string line;
-        line.reserve(256);
-        line += "{\"scenario\":\"";
-        obs::append_escaped(line, spec.name.c_str());
-        line += "\",\"trial\":";
-        line += std::to_string(trial_idx);
-        line += ",\"success\":";
-        line += stored->success ? "true" : "false";
-        line += ",\"done\":";
-        line += std::to_string(sp.done);
-        line += ",\"trials\":";
-        line += std::to_string(trials);
-        line += ",\"successes\":";
-        line += std::to_string(sp.successes);
-        line += ",\"rate\":";
-        obs::append_double(line, static_cast<double>(sp.successes) /
-                                     static_cast<double>(sp.done));
-        line += ",\"wilson_low\":";
-        obs::append_double(line, ci.low);
-        line += ",\"wilson_high\":";
-        obs::append_double(line, ci.high);
-        line += ",\"campaign_done\":";
-        line += std::to_string(executed_total);
-        line += ",\"campaign_total\":";
-        line += std::to_string(pending_total);
-        line += ",\"elapsed_s\":";
-        obs::append_double(line, elapsed_s);
-        line += ",\"eta_s\":";
-        obs::append_double(line,
-                           elapsed_s * static_cast<double>(remaining) /
-                               static_cast<double>(executed_total));
-        line += "}\n";
-        std::fputs(line.c_str(), progress_file);
+        ProgressLine line;
+        line.trial = {spec.name, trial_idx, stored->success,
+                      sp.done,   trials,    sp.successes};
+        line.campaign = {executed_total, pending_total, elapsed_s};
+        std::fputs(line.encode().c_str(), progress_file);
         std::fflush(progress_file);
       }
       if (progress_) {
@@ -453,83 +378,21 @@ CampaignReport CampaignRunner::run_in_memory(
 
 CampaignReport CampaignRunner::run_journaled(
     const std::vector<ScenarioSpec>& scenarios) const {
-  namespace fs = std::filesystem;
   const u32 trials = config_.trials;
-  const std::size_t total = scenarios.size() * trials;
   const std::string& dir = config_.journal_dir;
 
   const store::JournalMeta meta =
       store::JournalMeta::describe(config_.seed, trials, scenarios);
-  {
-    // Fail before running (or journaling) anything: records are keyed by
-    // scenario-name hash, so duplicate names — legal nowhere, but only
-    // caught lazily on the in-memory path — would make the journal
-    // unreadable after hours of work instead of erroring now.
-    std::unordered_map<u64, const std::string*> names;
-    names.reserve(meta.scenarios.size());
-    for (const store::JournalMeta::Scenario& s : meta.scenarios) {
-      auto [it, inserted] = names.emplace(store::fnv1a(s.name), &s.name);
-      if (!inserted) {
-        throw std::invalid_argument(
-            "cannot journal campaign: scenario name '" + s.name +
-            (*it->second == s.name ? "' is duplicated"
-                                   : "' hash-collides with '" +
-                                         *it->second + "'"));
-      }
-    }
+  const store::OpenedJournal journal =
+      store::open_journal(dir, meta, config_.resume);
+  // Every trial outside the pending ranges is already journaled.
+  std::vector<u8> skip(scenarios.size() * trials, u8{1});
+  std::size_t pending = 0;
+  for (const store::TrialRange& r : journal.pending) {
+    std::fill(skip.begin() + static_cast<std::ptrdiff_t>(r.begin),
+              skip.begin() + static_cast<std::ptrdiff_t>(r.end), u8{0});
+    pending += r.size();
   }
-  fs::create_directories(dir);
-
-  store::JournalScan scan = store::scan_journal(dir);
-  if (!scan.shards.empty() && !config_.resume) {
-    throw std::runtime_error(
-        "journal directory '" + dir +
-        "' already contains shards; pass resume (--resume) to continue "
-        "that campaign or point --journal at a fresh directory");
-  }
-
-  std::vector<u8> skip;
-  std::size_t done = 0;
-  u32 next_shard_id = 0;
-  for (const store::ShardState& st : scan.shards) {
-    next_shard_id = std::max(next_shard_id, st.shard_id + 1);
-  }
-  if (config_.resume && scan.found) {
-    if (scan.meta.campaign_seed != meta.campaign_seed) {
-      throw std::runtime_error(
-          "cannot resume: journal '" + dir + "' was written with seed " +
-          std::to_string(scan.meta.campaign_seed) + ", this campaign uses " +
-          std::to_string(meta.campaign_seed));
-    }
-    if (scan.meta.trials_per_scenario != meta.trials_per_scenario) {
-      throw std::runtime_error(
-          "cannot resume: journal '" + dir + "' ran " +
-          std::to_string(scan.meta.trials_per_scenario) +
-          " trials/scenario, this campaign runs " +
-          std::to_string(meta.trials_per_scenario));
-    }
-    if (scan.meta.fingerprint() != meta.fingerprint()) {
-      throw std::runtime_error("cannot resume: journal '" + dir +
-                               "' describes a different scenario set");
-    }
-    skip.assign(total, u8{0});
-    for (std::size_t s = 0; s < scan.done.size(); ++s) {
-      for (u32 t = 0; t < trials; ++t) {
-        if (scan.done[s][t] != 0) {
-          skip[s * trials + t] = 1;
-          done++;
-        }
-      }
-    }
-  }
-  if (config_.resume) {
-    // Identity verified: make the journal physically clean before
-    // appending new shards — torn tails are cut back to the last valid
-    // frame, header-less crash debris is removed.
-    store::truncate_torn_tails(scan);
-  }
-
-  const std::size_t pending = total - done;
   const u32 threads = resolve_threads(pending);
 
   // One private shard per worker: the journal write path takes no lock.
@@ -537,10 +400,10 @@ CampaignReport CampaignRunner::run_journaled(
   std::vector<store::ShardWriter> writers;
   writers.reserve(threads);
   for (u32 w = 0; w < threads; ++w) {
-    writers.emplace_back(dir, meta, next_shard_id + w);
+    writers.emplace_back(dir, meta, journal.next_shard_id + w);
   }
   if (pending > 0) {
-    execute(scenarios, skip.empty() ? nullptr : &skip, threads,
+    execute(scenarios, &skip, threads,
             [&writers](u32 worker_id, std::size_t scenario_idx, u32,
                        TrialResult&& r) -> const TrialResult& {
               writers[worker_id].append(static_cast<u32>(scenario_idx), r);
@@ -550,43 +413,9 @@ CampaignReport CampaignRunner::run_journaled(
   for (store::ShardWriter& w : writers) w.close();
 
   // Streaming fold over the shards merged back into trial-index order: no
-  // results vector ever holds the campaign — resident TrialResult storage
-  // stays O(workers + scenarios); only the exact p50/p90 quantiles keep
-  // per-success duration samples (8 bytes each) inside the builders.
-  std::vector<ScenarioAggregateBuilder> builders;
-  builders.reserve(scenarios.size());
-  for (const ScenarioSpec& spec : scenarios) {
-    builders.emplace_back(spec.name, to_string(spec.attack),
-                          /*keep_results=*/false);
-  }
-  std::vector<u32> counts(scenarios.size(), 0);
-  if (total > 0) {
-    store::JournalMerge merge(dir);
-    if (merge.valid()) {
-      store::JournalRecord rec;
-      while (merge.next(rec)) {
-        counts[rec.scenario]++;
-        builders[rec.scenario].add(std::move(rec.result));
-      }
-    }
-  }
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    if (counts[s] != trials) {
-      throw std::runtime_error(
-          "journal '" + dir + "' is incomplete after the run: scenario '" +
-          scenarios[s].name + "' has " + std::to_string(counts[s]) + " of " +
-          std::to_string(trials) + " trials");
-    }
-  }
-
-  CampaignReport report;
-  report.seed = config_.seed;
-  report.trials_per_scenario = trials;
-  report.scenarios.reserve(builders.size());
-  for (ScenarioAggregateBuilder& b : builders) {
-    report.scenarios.push_back(std::move(b).finish());
-  }
-  return report;
+  // results vector ever holds the campaign, only the per-success durations
+  // (8 bytes each) that the exact p50/p90 quantiles need.
+  return store::read_finished_report(dir, meta);
 }
 
 }  // namespace dnstime::campaign

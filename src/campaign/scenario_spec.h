@@ -125,7 +125,7 @@ class ScenarioRegistry {
 /// A run-time attack that deterministically fails: the resolver filters
 /// fragments (Table V hardening), so spoofed parts are never reassembled
 /// and the causal chain breaks at "reassembled with a spoofed part".
-/// Exists to exercise the forensics path (--dump / attack_narrative): the
+/// Exists to exercise the forensics path (--dump / trial_replay): the
 /// dump names the exact break point. Short deadline keeps trials cheap.
 [[nodiscard]] ScenarioSpec forensics_frag_filter_scenario();
 

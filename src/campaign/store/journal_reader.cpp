@@ -335,19 +335,19 @@ bool JournalMerge::next(JournalRecord& out) {
   return true;
 }
 
-CampaignReport read_report(const std::string& dir, bool include_trials) {
-  JournalMerge merge(dir);
-  if (!merge.valid()) {
-    throw std::runtime_error("no valid trial journal in '" + dir + "'");
-  }
-  const JournalMeta& meta = merge.meta();
+namespace {
+
+/// The fold behind every journal report: one ScenarioAggregateBuilder per
+/// scenario of `meta`, fed the merged records (none when `merge` is null).
+CampaignReport fold_report(const JournalMeta& meta, JournalMerge* merge,
+                           bool include_trials) {
   std::vector<ScenarioAggregateBuilder> builders;
   builders.reserve(meta.scenarios.size());
   for (const JournalMeta::Scenario& s : meta.scenarios) {
     builders.emplace_back(s.name, s.attack, include_trials);
   }
   JournalRecord rec;
-  while (merge.next(rec)) {
+  while (merge != nullptr && merge->next(rec)) {
     builders[rec.scenario].add(std::move(rec.result));
   }
   CampaignReport report;
@@ -356,6 +356,93 @@ CampaignReport read_report(const std::string& dir, bool include_trials) {
   report.scenarios.reserve(builders.size());
   for (ScenarioAggregateBuilder& b : builders) {
     report.scenarios.push_back(std::move(b).finish());
+  }
+  return report;
+}
+
+}  // namespace
+
+OpenedJournal open_journal(const std::string& dir, const JournalMeta& meta,
+                           bool resume) {
+  // Records are keyed by scenario-name hash, so duplicate names (legal
+  // nowhere, but caught only lazily in memory) would make the journal
+  // unreadable after hours of work instead of failing now.
+  std::unordered_map<u64, const std::string*> names;
+  names.reserve(meta.scenarios.size());
+  for (const JournalMeta::Scenario& s : meta.scenarios) {
+    auto [it, inserted] = names.emplace(fnv1a(s.name), &s.name);
+    if (!inserted) {
+      throw std::invalid_argument(
+          "cannot journal campaign: scenario name '" + s.name +
+          (*it->second == s.name
+               ? "' is duplicated"
+               : "' hash-collides with '" + *it->second + "'"));
+    }
+  }
+  fs::create_directories(dir);
+
+  const JournalScan scan = scan_journal(dir);
+  if (!scan.shards.empty() && !resume) {
+    throw std::runtime_error(
+        "journal directory '" + dir +
+        "' already contains shards; pass resume (--resume) to continue "
+        "that campaign or point --journal at a fresh directory");
+  }
+  if (resume && scan.found) {
+    if (scan.meta.campaign_seed != meta.campaign_seed) {
+      throw std::runtime_error(
+          "cannot resume: journal '" + dir + "' was written with seed " +
+          std::to_string(scan.meta.campaign_seed) + ", this campaign uses " +
+          std::to_string(meta.campaign_seed));
+    }
+    if (scan.meta.trials_per_scenario != meta.trials_per_scenario) {
+      throw std::runtime_error(
+          "cannot resume: journal '" + dir + "' ran " +
+          std::to_string(scan.meta.trials_per_scenario) +
+          " trials/scenario, this campaign runs " +
+          std::to_string(meta.trials_per_scenario));
+    }
+    if (scan.meta.fingerprint() != meta.fingerprint()) {
+      throw std::runtime_error("cannot resume: journal '" + dir +
+                               "' describes a different scenario set");
+    }
+  }
+  // Identity verified: make the journal physically clean before new
+  // shards are appended.
+  if (resume) truncate_torn_tails(scan);
+
+  OpenedJournal opened;
+  opened.pending = pending_ranges(scan, meta.scenarios.size(),
+                                  meta.trials_per_scenario);
+  for (const ShardState& st : scan.shards) {
+    opened.next_shard_id = std::max(opened.next_shard_id, st.shard_id + 1);
+  }
+  return opened;
+}
+
+CampaignReport read_report(const std::string& dir, bool include_trials) {
+  JournalMerge merge(dir);
+  if (!merge.valid()) {
+    throw std::runtime_error("no valid trial journal in '" + dir + "'");
+  }
+  return fold_report(merge.meta(), &merge, include_trials);
+}
+
+CampaignReport read_finished_report(const std::string& dir,
+                                    const JournalMeta& meta) {
+  // A campaign without trials journals nothing, so there is no shard to
+  // read and nothing to be missing.
+  if (meta.scenarios.empty() || meta.trials_per_scenario == 0) {
+    return fold_report(meta, nullptr, /*include_trials=*/false);
+  }
+  CampaignReport report = read_report(dir, /*include_trials=*/false);
+  for (const ScenarioAggregate& agg : report.scenarios) {
+    if (agg.trials != meta.trials_per_scenario) {
+      throw std::runtime_error(
+          "journal '" + dir + "' is incomplete after the run: scenario '" +
+          agg.name + "' has " + std::to_string(agg.trials) + " of " +
+          std::to_string(meta.trials_per_scenario) + " trials");
+    }
   }
   return report;
 }

@@ -1,5 +1,6 @@
 // Reading side of the sharded trial journal: directory scans for resume,
-// torn-tail truncation, a streaming k-way merge back into trial-index
+// torn-tail truncation, the checks every campaign mode runs before it
+// journals (open_journal), a streaming k-way merge back into trial-index
 // order, and full CampaignReport reconstruction.
 //
 // Tolerance contract: a shard's valid prefix ends at the first frame that
@@ -70,9 +71,28 @@ struct TrialRange {
 
 /// Makes the scanned journal physically clean: shards with torn tails are
 /// truncated to their last valid frame, header-less shards are removed.
-/// Called by the runner before resuming (readers tolerate torn tails
+/// Called by open_journal before resuming (readers tolerate torn tails
 /// anyway; truncation keeps crash debris from accumulating).
 void truncate_torn_tails(const JournalScan& scan);
+
+/// Where a campaign starts journaling after open_journal.
+struct OpenedJournal {
+  std::vector<TrialRange> pending;  ///< trials still to run, ascending
+  u32 next_shard_id = 0;            ///< lowest id no existing shard uses
+};
+
+/// Readies `dir` (created if absent) to journal the campaign `meta`
+/// describes, for the runner and the dist coordinator alike, before any
+/// trial runs. Throws std::invalid_argument when two scenario names share
+/// an FNV-1a hash (their records could not be told apart), and
+/// std::runtime_error when `dir` already holds shards but `resume` is
+/// false, or when `resume` finds a journal of another seed, trial count or
+/// scenario set. With `resume`, torn tails and header-less debris are
+/// cleaned up (truncate_torn_tails) and `pending` holds only the trials
+/// the journal lacks.
+[[nodiscard]] OpenedJournal open_journal(const std::string& dir,
+                                         const JournalMeta& meta,
+                                         bool resume);
 
 /// Streaming merge of all shards into global trial order (scenario index,
 /// then trial index). Holds O(shards) records in memory. Duplicate
@@ -118,5 +138,13 @@ class JournalMerge {
 /// Throws std::runtime_error if `dir` holds no valid journal.
 [[nodiscard]] CampaignReport read_report(const std::string& dir,
                                          bool include_trials = true);
+
+/// The aggregates-only report of the campaign `meta` describes, once it
+/// has finished journaling into `dir`: read_report's fold, checked to hold
+/// every trial of every scenario (the journal, not the executor's
+/// accounting, is the ground truth). Throws std::runtime_error when a
+/// trial is missing.
+[[nodiscard]] CampaignReport read_finished_report(const std::string& dir,
+                                                  const JournalMeta& meta);
 
 }  // namespace dnstime::campaign::store

@@ -7,10 +7,12 @@
 #include "attack/chronos_attack.h"
 #include "attack/query_trigger.h"
 #include "attack/run_time_attack.h"
+#include "campaign/runner.h"
 #include "chronos/chronos_client.h"
 #include "ntp/clients/chrony.h"
 #include "ntp/clients/ntpd.h"
 #include "ntp/clients/openntpd.h"
+#include "obs/counters.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
 #include "scenario/world.h"
@@ -255,6 +257,57 @@ TrialResult run_trial(const ScenarioSpec& spec, const TrialContext& ctx) {
       return result;
   }
   throw std::logic_error("unknown attack kind");
+}
+
+TrialResult execute_trial(const ScenarioSpec& spec, u64 campaign_seed,
+                          u32 trial, obs::FlightRecorder& flight,
+                          obs::TraceRecorder* trace) {
+  TrialContext ctx;
+  ctx.campaign_seed = campaign_seed;
+  ctx.trial = trial;
+  ctx.seed = CampaignRunner::trial_seed(campaign_seed, spec, trial);
+  // Meta before the trial builds its World: the World feeds the flight
+  // recorder the attacker-controlled addresses, and the meta seeds the
+  // provenance stream its stamps draw from.
+  flight.set_meta(spec.name, campaign_seed, trial, ctx.seed);
+  if (trace != nullptr) trace->set_meta(spec.name, campaign_seed, trial);
+  TrialResult result;
+  {
+    obs::ScopedFlightRecorder install_flight(&flight);
+    obs::ScopedTrace install_trace(trace);
+    try {
+      result = run_trial(spec, ctx);
+    } catch (const std::exception& e) {
+      result.error = e.what();
+    } catch (...) {
+      result.error = "unknown exception";
+    }
+  }
+  if (!result.error.empty()) {
+    // A throw left `result` default-constructed: give it its identity.
+    result.trial = trial;
+    result.seed = ctx.seed;
+    flight.error(result.error);
+  }
+  DNSTIME_HIST("obs.flight_ring_occupancy", static_cast<u64>(flight.size()));
+  DNSTIME_COUNT_ADD("obs.flight_events", flight.recorded());
+  DNSTIME_COUNT_ADD("obs.flight_overwritten", flight.overwritten());
+  if (trace != nullptr) {
+    DNSTIME_COUNT_ADD("obs.trace_events", trace->size());
+    DNSTIME_COUNT_ADD("obs.trace_dropped", trace->dropped());
+  }
+  return result;
+}
+
+std::string narrative_json(const obs::FlightRecorder& flight,
+                           const TrialResult& result) {
+  obs::FlightRecorder::DumpContext ctx;
+  ctx.has_result = true;
+  ctx.success = result.success;
+  ctx.duration_s = result.duration_s;
+  ctx.clock_shift_s = result.clock_shift_s;
+  ctx.error = result.error;
+  return flight.to_json(ctx);
 }
 
 }  // namespace dnstime::campaign

@@ -192,7 +192,8 @@ class FlightRecorder {
   /// The deterministic attack-narrative JSON: metadata, trial result,
   /// chain summary (stages / reached / broke_at) and the ring's events.
   /// A pure function of recorded sim events + ctx, so a runner dump and a
-  /// tools/attack_narrative replay of the same trial are byte-identical.
+  /// tools/trial_replay of the same trial are byte-identical (both fill
+  /// ctx through campaign::narrative_json).
   [[nodiscard]] std::string to_json(const DumpContext& ctx) const;
 
  private:

@@ -10,14 +10,18 @@
 //      entirely, duplicated trials across shards, a coordinator killed
 //      mid-campaign — merge into reports byte-identical to an
 //      uninterrupted single-process run;
-//   5. ProgressMerger folds interleaved multi-process progress streams
+//   5. the coordinator refuses a journal it must not touch before any
+//      worker process starts;
+//   6. ProgressMerger folds interleaved multi-process progress streams
 //      without tearing lines split across reads.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "campaign/dist/coordinator.h"
 #include "campaign/dist/lease.h"
 #include "campaign/progress_merge.h"
 #include "campaign/runner.h"
@@ -27,6 +31,7 @@
 #include "campaign/trial.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "obs/provenance.h"
 
 namespace dnstime::campaign {
 namespace {
@@ -87,14 +92,11 @@ store::JournalMeta meta_for(const CampaignConfig& config,
 void execute_into(store::ShardWriter& writer,
                   const std::vector<ScenarioSpec>& scenarios, u64 seed,
                   u32 trials, u64 idx) {
-  const auto scenario_idx = static_cast<std::size_t>(idx / trials);
-  const auto trial_idx = static_cast<u32>(idx % trials);
-  const ScenarioSpec& spec = scenarios[scenario_idx];
-  TrialContext ctx;
-  ctx.campaign_seed = seed;
-  ctx.trial = trial_idx;
-  ctx.seed = CampaignRunner::trial_seed(seed, spec, trial_idx);
-  writer.append(static_cast<u32>(scenario_idx), run_trial(spec, ctx));
+  const auto scenario_idx = static_cast<u32>(idx / trials);
+  obs::FlightRecorder flight;
+  writer.append(scenario_idx,
+                execute_trial(scenarios[scenario_idx], seed,
+                              static_cast<u32>(idx % trials), flight));
 }
 
 // --- wire codec -------------------------------------------------------------
@@ -453,6 +455,78 @@ TEST(DistJournal, CoordinatorCrashMidCampaignResumesToIdenticalReport) {
 
   EXPECT_EQ(store::read_report(dir.path).to_json(/*include_trials=*/false),
             baseline.to_json(/*include_trials=*/false));
+}
+
+// --- coordinator journal guards ---------------------------------------------
+
+/// Runs the coordinator on a journal it must refuse and checks that the
+/// error names `why` and that no worker ran (workers would add shards).
+/// The progress path lies under a regular file: a coordinator that got
+/// past the journal checks fails there instead of forking this test binary
+/// as its workers.
+void expect_refused(CampaignConfig config,
+                    const std::vector<ScenarioSpec>& scenarios,
+                    const std::string& why) {
+  const std::string blocker = config.journal_dir + "/not-a-directory";
+  std::ofstream(blocker) << "x";
+  config.progress_path = blocker + "/progress";
+  const std::vector<std::string> shards_before =
+      store::list_shards(config.journal_dir);
+  dist::DistOptions opt;
+  opt.workers = 2;
+  opt.respawn_args = {"dist_test"};
+  try {
+    (void)dist::run_coordinator(config, scenarios, opt);
+    ADD_FAILURE() << "coordinator accepted the journal (" << why << ")";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(store::list_shards(config.journal_dir), shards_before);
+}
+
+TEST(DistCoordinator, RefusesForeignOrDirtyJournalsBeforeSpawningWorkers) {
+  TempJournalDir dir("coordguard");
+  auto scenarios = two_synthetic_scenarios();
+  CampaignConfig config;
+  config.seed = 1;
+  config.trials = 4;
+  config.threads = 1;
+  config.journal_dir = dir.path;
+  (void)CampaignRunner(config).run(scenarios);
+
+  // Shards already present and no resume.
+  expect_refused(config, scenarios, "already contains shards");
+
+  // Resume, but the journal belongs to another seed, trial count or
+  // scenario set.
+  CampaignConfig other = config;
+  other.resume = true;
+  other.seed = 2;
+  expect_refused(other, scenarios, "cannot resume: journal '" + dir.path +
+                                       "' was written with seed 1");
+  other = config;
+  other.resume = true;
+  other.trials = 8;
+  expect_refused(other, scenarios, "ran 4 trials/scenario");
+  other = config;
+  other.resume = true;
+  auto renamed = two_synthetic_scenarios();
+  renamed[1].name = "synthetic/renamed";
+  expect_refused(other, renamed, "describes a different scenario set");
+}
+
+TEST(DistCoordinator, RefusesDuplicateScenarioNamesBeforeSpawningWorkers) {
+  TempJournalDir dir("coorddup");
+  std::vector<ScenarioSpec> scenarios;
+  scenarios.push_back(synthetic_scenario("synthetic/same"));
+  scenarios.push_back(synthetic_scenario("synthetic/same"));
+  CampaignConfig config;
+  config.seed = 1;
+  config.trials = 2;
+  config.journal_dir = dir.path;
+  expect_refused(config, scenarios,
+                 "scenario name 'synthetic/same' is duplicated");
 }
 
 // --- ProgressMerger ---------------------------------------------------------

@@ -1,8 +1,8 @@
 // Forensics contracts of the campaign runner: a failing trial produces a
 // deterministic attack-narrative dump (byte-identical at any thread
-// count), --dump-on predicates select which trials dump, and the live
-// progress stream records every executed trial with Wilson-interval
-// success rates.
+// count, and to a replay of the trial on its own), --dump-on predicates
+// select which trials dump, and the live progress stream records every
+// executed trial with Wilson-interval success rates.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,6 +19,7 @@
 #include "campaign/trial.h"
 #include "common/stats.h"
 #include "obs/provenance.h"
+#include "obs/trace.h"
 
 namespace dnstime::campaign {
 namespace {
@@ -48,14 +49,20 @@ std::string slurp(const fs::path& p) {
   return out.str();
 }
 
-/// A cheap scenario that drives the installed flight recorder through a
-/// deterministic event pattern derived from the trial seed — the dump
-/// pipeline exercised end to end without building a World.
+/// A cheap scenario that drives the installed flight recorder (and
+/// tracer, when one is installed) through a deterministic event pattern
+/// derived from the trial seed — the dump and trace pipelines exercised
+/// end to end without building a World.
 ScenarioSpec forensic_scenario(std::string name) {
   ScenarioSpec spec;
   spec.name = std::move(name);
   spec.attack = AttackKind::kCustom;
   spec.trial_fn = [](const ScenarioSpec&, const TrialContext& ctx) {
+    if (obs::TraceRecorder* trace = obs::current_trace()) {
+      trace->begin(1000, "trial", "poison");
+      trace->instant(2000, "attack", "spray", ctx.seed & 0xFFFF);
+      trace->end(4000, "trial", "poison");
+    }
     if (obs::FlightRecorder* flight = obs::current_flight()) {
       flight->phase(1000, "poison");
       flight->pmtu_reduced(1500, OriginModule::kVictim, 296, 0x0A350001);
@@ -195,6 +202,43 @@ TEST(CampaignForensics, DumpPredicatesSelectWhichTrialsDump) {
         (void)CampaignRunner(config).run(
             {forensic_scenario("forensic/det")}),
         std::invalid_argument);
+  }
+}
+
+TEST(CampaignForensics, ReplayedTrialIsByteIdenticalToTheCampaignsFiles) {
+  // execute_trial is the one trial path of the runner, the dist worker and
+  // tools/trial_replay: running a single trial through it must reproduce
+  // the campaign's --dump and --trace files byte for byte, for a healthy
+  // trial and for a throwing one alike.
+  const std::vector<ScenarioSpec> scenarios = {
+      forensic_scenario("forensic/det"), throwing_scenario("forensic/err", 1)};
+  const u32 trials = 2;
+  for (u32 index = 0; index < scenarios.size() * trials; ++index) {
+    TempDir dir("replay");
+    CampaignConfig config;
+    config.seed = 5;
+    config.trials = trials;
+    config.threads = 2;
+    config.dump_dir = (fs::path(dir.path) / "dumps").string();
+    config.dump_on = "always";
+    config.trace_path = (fs::path(dir.path) / "trace.json").string();
+    config.trace_index = index;
+    (void)CampaignRunner(config).run(scenarios);
+
+    const ScenarioSpec& spec = scenarios[index / trials];
+    const u32 trial = index % trials;
+    obs::FlightRecorder flight;
+    obs::TraceRecorder trace;
+    const TrialResult result =
+        execute_trial(spec, config.seed, trial, flight, &trace);
+    EXPECT_EQ(result.error, index == 3 ? "boom" : "") << index;
+    const std::string dump_name =
+        (index < trials ? "forensic_det-t" : "forensic_err-t") +
+        std::to_string(trial) + ".json";
+    EXPECT_EQ(narrative_json(flight, result),
+              slurp(fs::path(config.dump_dir) / dump_name))
+        << dump_name;
+    EXPECT_EQ(trace.to_json(), slurp(config.trace_path)) << index;
   }
 }
 

@@ -23,6 +23,7 @@
 #include "campaign/store/shard_writer.h"
 #include "campaign/trial.h"
 #include "common/rng.h"
+#include "obs/provenance.h"
 
 namespace dnstime::campaign {
 namespace {
@@ -290,11 +291,8 @@ TEST(TrialJournal, ResumeExecutesOnlyMissingTrialsAndReportIsIdentical) {
       const std::pair<u32, u32> done[] = {{0, 0}, {0, 1}, {0, 2}, {1, 1},
                                           {1, 5}};
       for (auto [s, t] : done) {
-        TrialContext ctx;
-        ctx.campaign_seed = 42;
-        ctx.trial = t;
-        ctx.seed = CampaignRunner::trial_seed(42, scenarios[s], t);
-        w.append(s, run_trial(scenarios[s], ctx));
+        obs::FlightRecorder flight;
+        w.append(s, execute_trial(scenarios[s], 42, t, flight));
       }
       w.close();
     }
@@ -437,6 +435,22 @@ TEST(TrialJournal, DuplicateScenarioNamesAreRejectedBeforeAnyTrialRuns) {
       [&](const ScenarioSpec&, const TrialResult&) { executed++; });
   EXPECT_THROW((void)runner.run(scenarios), std::invalid_argument);
   EXPECT_EQ(executed.load(), 0u);
+}
+
+TEST(TrialJournal, JournaledCampaignWithoutTrialsReportsLikeInMemory) {
+  // Nothing to run writes no shard, so the journaled fold has nothing to
+  // read: it must still report the in-memory run's empty aggregates.
+  TempJournalDir dir("notrials");
+  auto scenarios = two_synthetic_scenarios();
+  CampaignConfig cfg;
+  cfg.seed = 3;
+  cfg.trials = 0;
+  cfg.threads = 1;
+  const CampaignReport in_memory = CampaignRunner(cfg).run(scenarios);
+  cfg.journal_dir = dir.path;
+  EXPECT_EQ(CampaignRunner(cfg).run(scenarios).to_json(),
+            in_memory.to_json());
+  EXPECT_TRUE(store::list_shards(dir.path).empty());
 }
 
 TEST(TrialJournal, ReadReportRejectsEmptyDirectory) {

@@ -2,7 +2,7 @@
 // trial seed), ring bounds with chain points surviving overwrite, the
 // causal-chain reached/broke_at semantics, tainted-peer steering, and the
 // byte-pinned attack-narrative JSON that makes a runner dump and a
-// tools/attack_narrative replay byte-identical.
+// tools/trial_replay byte-identical.
 #include "obs/provenance.h"
 
 #include <gtest/gtest.h>
