@@ -16,8 +16,6 @@
 #include "analysis/probability.h"
 #include "bench_util.h"
 #include "campaign/cli.h"
-#include "campaign/dist/coordinator.h"
-#include "campaign/dist/worker.h"
 #include "campaign/runner.h"
 
 namespace {
@@ -56,15 +54,10 @@ int main(int argc, char** argv) {
   campaign::CliOptions opts = campaign::parse_cli(argc, argv, defaults);
   if (!opts.ok) return 2;
 
-  // The scenario list is rebuilt identically in every process (pure
-  // function of table_iii()), so leased workers journal the same campaign.
   auto rows = analysis::table_iii();
   std::vector<campaign::ScenarioSpec> scenarios;
   scenarios.reserve(rows.size());
   for (const auto& row : rows) scenarios.push_back(row_scenario(row));
-  if (opts.dist.worker_mode) {
-    return campaign::dist::run_worker(opts.config, scenarios, opts.dist);
-  }
 
   bench::header(
       "Table III - P(client vulnerable) by association count m, p_rate=38%");
@@ -77,12 +70,7 @@ int main(int argc, char** argv) {
 
   campaign::CampaignReport report;
   try {
-    if (opts.dist.workers >= 2) {
-      report = campaign::dist::run_coordinator(opts.config, scenarios,
-                                               opts.dist);
-    } else {
-      report = campaign::CampaignRunner(opts.config).run(scenarios);
-    }
+    report = campaign::CampaignRunner(opts.config).run(scenarios);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaign failed: %s\n", e.what());
     return 1;

@@ -16,8 +16,6 @@
 #include <string>
 
 #include "campaign/cli.h"
-#include "campaign/dist/coordinator.h"
-#include "campaign/dist/worker.h"
 #include "campaign/runner.h"
 
 using namespace dnstime;
@@ -38,12 +36,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Hidden worker mode: this process was spawned by a coordinator and
-  // only executes leases — it prints no banner and writes no report.
-  if (opts.dist.worker_mode) {
-    return campaign::dist::run_worker(opts.config, scenarios, opts.dist);
-  }
-
   // Banner and progress go to stderr: with --json, stdout is exactly one
   // parseable report.
   std::fprintf(stderr, "campaign: %zu scenario(s) x %u trial(s), seed %llu\n\n",
@@ -51,26 +43,21 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(opts.config.seed));
   campaign::CampaignReport report;
   try {
-    if (opts.dist.workers >= 2) {
-      // Multi-process: per-trial progress lives in the --progress
-      // directory (see tools/campaign_watch), not on stderr.
-      report = campaign::dist::run_coordinator(opts.config, scenarios,
-                                               opts.dist);
-    } else {
-      campaign::CampaignRunner runner(opts.config);
-      u32 done = 0;
-      const u32 total =
-          static_cast<u32>(scenarios.size()) * opts.config.trials;
-      runner.set_progress([&](const campaign::ScenarioSpec& spec,
-                              const campaign::TrialResult& r) {
-        std::fprintf(stderr, "  [%3u/%3u] %-24s trial %u: %s\n", ++done,
-                     total, spec.name.c_str(), r.trial,
-                     !r.error.empty() ? "ERROR"
-                     : r.success      ? "ok"
-                                      : "no-shift");
-      });
-      report = runner.run(scenarios);
-    }
+    // With --workers the trials run in child processes, which do not call
+    // back here; their per-trial progress lives in the --progress
+    // directory (see tools/campaign_watch).
+    campaign::CampaignRunner runner(opts.config);
+    u32 done = 0;
+    const u32 total = static_cast<u32>(scenarios.size()) * opts.config.trials;
+    runner.set_progress([&](const campaign::ScenarioSpec& spec,
+                            const campaign::TrialResult& r) {
+      std::fprintf(stderr, "  [%3u/%3u] %-24s trial %u: %s\n", ++done, total,
+                   spec.name.c_str(), r.trial,
+                   !r.error.empty() ? "ERROR"
+                   : r.success      ? "ok"
+                                    : "no-shift");
+    });
+    report = runner.run(scenarios);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaign failed: %s\n", e.what());
     return 1;

@@ -116,6 +116,7 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
     opts.ok = false;
     return opts;
   };
+  bool threads_given = false;
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     if (std::strcmp(flag, "--json") == 0) {
@@ -130,17 +131,9 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
       opts.metrics = true;
       continue;
     }
-    if (std::strcmp(flag, "--dist-worker") == 0) {
-      opts.dist.worker_mode = true;
-      continue;
-    }
     const bool takes_value =
         std::strcmp(flag, "--workers") == 0 ||
-        std::strcmp(flag, "--dist-fd-in") == 0 ||
-        std::strcmp(flag, "--dist-fd-out") == 0 ||
-        std::strcmp(flag, "--dist-worker-id") == 0 ||
-        std::strcmp(flag, "--dist-kill-worker") == 0 ||
-        std::strcmp(flag, "--dist-kill-after") == 0 ||
+        std::strcmp(flag, "--dist-kill-trial") == 0 ||
         std::strcmp(flag, "--trials") == 0 ||
         std::strcmp(flag, "--threads") == 0 ||
         std::strcmp(flag, "--seed") == 0 ||
@@ -184,6 +177,7 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
         return fail();
       }
       opts.config.threads = static_cast<u32>(parsed);
+      threads_given = true;
     } else if (std::strcmp(flag, "--seed") == 0) {
       if (!parse_u64_token(value, parsed)) {
         std::fprintf(stderr,
@@ -225,46 +219,16 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
                      argv[0], value);
         return fail();
       }
-      opts.dist.workers = static_cast<u32>(parsed);
-    } else if (std::strcmp(flag, "--dist-fd-in") == 0 ||
-               std::strcmp(flag, "--dist-fd-out") == 0) {
-      if (!parse_u64_token(value, parsed) ||
-          parsed > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '%s' "
-                     "(want an inherited file descriptor number)\n",
-                     argv[0], value, flag);
-        return fail();
-      }
-      (std::strcmp(flag, "--dist-fd-in") == 0 ? opts.dist.fd_in
-                                              : opts.dist.fd_out) =
-          static_cast<int>(parsed);
-    } else if (std::strcmp(flag, "--dist-worker-id") == 0) {
-      if (!parse_u64_token(value, parsed) || parsed > 256) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '--dist-worker-id'\n",
-                     argv[0], value);
-        return fail();
-      }
-      opts.dist.worker_id = static_cast<u32>(parsed);
-    } else if (std::strcmp(flag, "--dist-kill-worker") == 0) {
-      if (!parse_u64_token(value, parsed) || parsed > 256) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '--dist-kill-worker' "
-                     "(want a worker index)\n",
-                     argv[0], value);
-        return fail();
-      }
-      opts.dist.kill_worker = static_cast<int>(parsed);
-    } else if (std::strcmp(flag, "--dist-kill-after") == 0) {
+      opts.config.workers = static_cast<u32>(parsed);
+    } else if (std::strcmp(flag, "--dist-kill-trial") == 0) {
       if (!parse_u64_token(value, parsed)) {
         std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '--dist-kill-after' "
-                     "(want a trial count)\n",
+                     "%s: invalid value '%s' for flag '--dist-kill-trial' "
+                     "(want a flattened trial index)\n",
                      argv[0], value);
         return fail();
       }
-      opts.dist.kill_after = parsed;
+      opts.config.kill_trial = parsed;
     } else if (std::strcmp(flag, "--trace-index") == 0) {
       if (!parse_u64_token(value, parsed)) {
         std::fprintf(stderr,
@@ -294,48 +258,27 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
                  argv[0]);
     return fail();
   }
-  if (opts.dist.worker_mode &&
-      (opts.dist.fd_in < 0 || opts.dist.fd_out < 0 ||
-       opts.config.journal_dir.empty())) {
-    std::fprintf(stderr,
-                 "%s: '--dist-worker' needs '--dist-fd-in N', "
-                 "'--dist-fd-out N' and '--journal DIR' (it is spawned by "
-                 "the coordinator, not invoked by hand)\n",
-                 argv[0]);
-    return fail();
-  }
-  if (!opts.dist.worker_mode && opts.dist.workers >= 2) {
+  if (opts.config.workers >= 2) {
     if (opts.config.journal_dir.empty()) {
       std::fprintf(stderr, "%s: '--workers' requires '--journal DIR'\n",
                    argv[0]);
       return fail();
     }
-    // Worker registries never reach the coordinator, so --metrics would
-    // print an empty counter section rather than fail.
-    if (!opts.config.trace_path.empty() || !opts.config.dump_dir.empty() ||
-        opts.metrics) {
+    if (threads_given) {
       std::fprintf(stderr,
-                   "%s: '--trace'/'--dump'/'--metrics' are not supported "
-                   "with '--workers' (trials execute in worker processes)\n",
+                   "%s: '--threads' cannot be combined with '--workers' "
+                   "(each worker process runs one trial at a time)\n",
                    argv[0]);
       return fail();
     }
-    // argv for worker re-exec: everything except the coordinator-only
-    // flags (--workers would recurse; the kill hook must fire exactly
-    // once, in the coordinator).
-    opts.dist.respawn_args.emplace_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--workers") == 0 ||
-          std::strcmp(argv[i], "--dist-kill-worker") == 0 ||
-          std::strcmp(argv[i], "--dist-kill-after") == 0) {
-        i++;  // skip the flag's value too
-        continue;
-      }
-      // Workers never scan or resume the journal — the coordinator already
-      // validated and cleaned it — and their report/metrics flags would be
-      // dead weight; strip the ones that change observable behaviour.
-      if (std::strcmp(argv[i], "--resume") == 0) continue;
-      opts.dist.respawn_args.emplace_back(argv[i]);
+    // Each worker process counts into its own registry, which never
+    // reaches the parent that prints the report.
+    if (opts.metrics) {
+      std::fprintf(stderr,
+                   "%s: '--metrics' is not supported with '--workers' "
+                   "(the counters stay in the worker processes)\n",
+                   argv[0]);
+      return fail();
     }
   }
   if (!opts.config.dump_dir.empty() && !DNSTIME_OBS) {

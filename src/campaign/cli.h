@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "campaign/dist/options.h"
 #include "campaign/runner.h"
 
 namespace dnstime::campaign {
@@ -20,11 +19,6 @@ struct CliOptions {
   bool json = false;
   bool metrics = false;  ///< --metrics: append process telemetry to report
   bool ok = true;  ///< false => a parse error was printed to stderr
-  /// Multi-process distribution: --workers N plus the hidden --dist-*
-  /// worker wiring and kill-injection flags (campaign/dist/options.h).
-  /// Tools dispatch with dist.worker_mode -> dist::run_worker,
-  /// dist.workers >= 2 -> dist::run_coordinator, else CampaignRunner.
-  dist::DistOptions dist;
 };
 
 /// Parses the shared campaign flags: --trials N, --threads T, --seed S,
@@ -32,16 +26,13 @@ struct CliOptions {
 /// --trace-index N, --dump DIR, --dump-on PRED, --progress FILE,
 /// --workers N, --log-level LEVEL and (when `scenario_flags` is set)
 /// --filter PREFIX.
-/// --workers N (N >= 2) selects the multi-process coordinator; it
-/// requires --journal and rejects --trace/--dump (trials execute in other
-/// processes), and --threads is ignored (the process is the unit of
-/// parallelism; workers run single-threaded). In distributed mode
-/// --progress names a directory of per-process JSONL files, not a file.
-/// The hidden worker/fault-injection flags (--dist-worker, --dist-fd-in,
-/// --dist-fd-out, --dist-worker-id, --dist-kill-worker, --dist-kill-after)
-/// land in CliOptions::dist; respawn_args records argv with --workers and
-/// --dist-kill-* stripped so the coordinator can re-exec this binary as
-/// workers.
+/// --workers N lands in CampaignConfig::workers; N >= 2 runs the trials in
+/// N forked worker processes (runner.h). It requires --journal and
+/// rejects --threads (each worker runs one trial at a time) and --metrics
+/// (the counters stay in the workers); --trace and --dump work as in
+/// threads mode, and --progress names a directory of per-worker JSONL
+/// files. The hidden --dist-kill-trial K sets CampaignConfig::kill_trial,
+/// the crash-recovery test hook.
 /// `defaults` seeds the returned options. --dump/--dump-on/--progress
 /// land in CampaignConfig::dump_dir/dump_on/progress_path (narrative
 /// dumps and the live progress stream; see runner.h).

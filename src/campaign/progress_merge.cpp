@@ -33,7 +33,7 @@ bool find_u64(const std::string& line, const char* key, u64& out) {
   return true;
 }
 
-/// Extracts the scenario name. Worker lines escape names via
+/// Extracts the scenario name. Progress lines escape names via
 /// obs::append_escaped, so stop at the first unescaped quote.
 bool find_scenario(const std::string& line, std::string& out) {
   static const char probe[] = "\"scenario\":\"";
@@ -55,52 +55,41 @@ bool find_scenario(const std::string& line, std::string& out) {
 }  // namespace
 
 std::string ProgressLine::encode() const {
+  const Trial& t = trial;
+  const Campaign& c = campaign;
+  const WilsonInterval ci = wilson_interval(t.successes, t.done);
   std::string line;
   line.reserve(256);
-  line += '{';
-  if (trial) {
-    const Trial& t = *trial;
-    const WilsonInterval ci = wilson_interval(t.successes, t.done);
-    line += "\"scenario\":\"";
-    obs::append_escaped(line, t.scenario.c_str());
-    line += "\",\"trial\":";
-    line += std::to_string(t.trial);
-    line += ",\"success\":";
-    line += t.success ? "true" : "false";
-    line += ",\"done\":";
-    line += std::to_string(t.done);
-    line += ",\"trials\":";
-    line += std::to_string(t.trials);
-    line += ",\"successes\":";
-    line += std::to_string(t.successes);
-    line += ",\"rate\":";
-    obs::append_double(line, static_cast<double>(t.successes) /
-                                 static_cast<double>(t.done));
-    line += ",\"wilson_low\":";
-    obs::append_double(line, ci.low);
-    line += ",\"wilson_high\":";
-    obs::append_double(line, ci.high);
-  }
-  if (campaign) {
-    const Campaign& c = *campaign;
-    if (trial) line += ',';
-    line += "\"campaign_done\":";
-    line += std::to_string(c.done);
-    line += ",\"campaign_total\":";
-    line += std::to_string(c.total);
-    line += ",\"elapsed_s\":";
-    obs::append_double(line, c.elapsed_s);
-    line += ",\"eta_s\":";
-    obs::append_double(line, c.done == 0
-                                 ? 0.0
-                                 : c.elapsed_s *
-                                       static_cast<double>(c.total - c.done) /
-                                       static_cast<double>(c.done));
-  }
-  if (worker) {
-    line += ",\"worker\":";
-    line += std::to_string(*worker);
-  }
+  line += "{\"scenario\":\"";
+  obs::append_escaped(line, t.scenario.c_str());
+  line += "\",\"trial\":";
+  line += std::to_string(t.trial);
+  line += ",\"success\":";
+  line += t.success ? "true" : "false";
+  line += ",\"done\":";
+  line += std::to_string(t.done);
+  line += ",\"trials\":";
+  line += std::to_string(t.trials);
+  line += ",\"successes\":";
+  line += std::to_string(t.successes);
+  line += ",\"rate\":";
+  obs::append_double(line, static_cast<double>(t.successes) /
+                               static_cast<double>(t.done));
+  line += ",\"wilson_low\":";
+  obs::append_double(line, ci.low);
+  line += ",\"wilson_high\":";
+  obs::append_double(line, ci.high);
+  line += ",\"campaign_done\":";
+  line += std::to_string(c.done);
+  line += ",\"campaign_total\":";
+  line += std::to_string(c.total);
+  line += ",\"elapsed_s\":";
+  obs::append_double(line, c.elapsed_s);
+  line += ",\"eta_s\":";
+  obs::append_double(
+      line, c.done == 0 ? 0.0
+                        : c.elapsed_s * static_cast<double>(c.total - c.done) /
+                              static_cast<double>(c.done));
   line += "}\n";
   return line;
 }
@@ -124,15 +113,18 @@ void ProgressMerger::fold_line(std::size_t file_id, const std::string& line) {
   lines_++;
   bool recognized = false;
 
-  // Campaign-level facts: single-process streams carry them on every
-  // line, the distributed coordinator emits dedicated lines. Either way
-  // the newest line wins — the counters are cumulative.
-  u64 total = 0;
-  if (find_u64(line, "campaign_total", total)) {
-    campaign_total_ = total;
-    find_u64(line, "campaign_done", campaign_done_);
-    find_number(line, "elapsed_s", elapsed_s_);
-    find_number(line, "eta_s", eta_s_);
+  // Campaign-level facts ride on every line. campaign_done is a counter
+  // all workers share, so the line with the largest value is the newest,
+  // whichever stream it was read from. Its total, elapsed time and ETA are
+  // taken with it, so the four always describe the same moment.
+  u64 campaign_done = 0;
+  if (find_u64(line, "campaign_done", campaign_done)) {
+    if (campaign_done >= campaign_done_) {
+      campaign_done_ = campaign_done;
+      find_u64(line, "campaign_total", campaign_total_);
+      find_number(line, "elapsed_s", elapsed_s_);
+      find_number(line, "eta_s", eta_s_);
+    }
     recognized = true;
   }
 

@@ -1,13 +1,13 @@
 // Campaign progress streams (JSON Lines): the line writer every campaign
 // mode uses, and the merging reader campaign_watch folds them with.
 //
-// A single-process campaign writes one --progress file; a distributed one
-// writes a directory: worker-<id>.jsonl per process (per-scenario counts,
-// no campaign_* fields) plus coordinator.jsonl (campaign-level lines
-// only). ProgressMerger folds any number of such streams into one fleet
-// view: per-scenario counts are summed across files and the success rate
-// and Wilson interval are recomputed from the sums, so the merged table
-// is exactly what a single-process run over the same trials would show.
+// A threads campaign writes one --progress file; a --workers campaign
+// writes a directory with one worker-<shard>.jsonl per worker process, in
+// the same line shape. ProgressMerger folds any number of such streams
+// into one view: per-scenario counts are summed across files and the
+// success rate and Wilson interval are recomputed from the sums, so the
+// merged table is exactly what a single-process run over the same trials
+// would show.
 //
 // Each stream is fed in arbitrary chunks (tail -f style); bytes after the
 // last newline are carried per file until their line completes, so
@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,10 +24,8 @@
 
 namespace dnstime::campaign {
 
-/// One progress line. Which parts are set picks the line's shape: the
-/// single-process runner writes trial + campaign, a dist worker trial +
-/// worker, the dist coordinator campaign only. Keys always appear in the
-/// order encode() writes them.
+/// One progress line: a finished trial plus the campaign-wide counts.
+/// Keys always appear in the order encode() writes them.
 struct ProgressLine {
   /// One finished trial and its scenario's running counts (which include
   /// it); encode() derives the rate and Wilson interval from the counts.
@@ -40,15 +37,15 @@ struct ProgressLine {
     u32 trials = 0;  ///< the scenario's trial target
     u32 successes = 0;
   };
-  /// Campaign-wide counts and wall seconds since the campaign started.
+  /// Campaign-wide counts (shared by every worker, thread or process) and
+  /// wall seconds since the writer started.
   struct Campaign {
     u64 done = 0;
     u64 total = 0;
     double elapsed_s = 0.0;
   };
-  std::optional<Trial> trial;
-  std::optional<Campaign> campaign;
-  std::optional<u32> worker;
+  Trial trial;
+  Campaign campaign;
 
   [[nodiscard]] std::string encode() const;  ///< includes trailing '\n'
 };
@@ -72,7 +69,9 @@ class ProgressMerger {
 
   struct Snapshot {
     std::vector<MergedRow> rows;  ///< first-seen order across all streams
-    u64 campaign_done = 0;   ///< newest campaign-level line wins
+    /// The four campaign-level facts all come from the line with the
+    /// largest campaign_done seen (streams race each other).
+    u64 campaign_done = 0;
     u64 campaign_total = 0;
     double elapsed_s = 0.0;
     double eta_s = 0.0;

@@ -1,13 +1,22 @@
 #include "campaign/runner.h"
 
+#include <sys/mman.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <thread>
 
@@ -79,7 +88,50 @@ std::string dump_file_name(const std::string& scenario, u32 trial) {
 }
 #endif  // DNSTIME_OBS
 
+/// Replaces `path` with `bytes`; false on any I/O failure.
+bool write_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  return (std::fclose(f) == 0) && wrote;
+}
+
+/// Flags every flattened trial index outside `pending` (already journaled).
+std::vector<u8> journaled_mask(const std::vector<store::TrialRange>& pending,
+                               std::size_t total) {
+  std::vector<u8> mask(total, u8{1});
+  for (const store::TrialRange& r : pending) {
+    std::fill(mask.begin() + static_cast<std::ptrdiff_t>(r.begin),
+              mask.begin() + static_cast<std::ptrdiff_t>(r.end), u8{0});
+  }
+  return mask;
+}
+
+u64 count_pending(const std::vector<u8>& mask) {
+  return static_cast<u64>(std::count(mask.begin(), mask.end(), u8{0}));
+}
+
 }  // namespace
+
+/// `next` hands out flattened trial indices (one fetch_add per claim, so
+/// balance is per trial); `done` and `total` are the progress stream's
+/// campaign_done/campaign_total, and its elapsed_s counts from `start`.
+/// The thread pool keeps the cursor on its stack, the worker processes in
+/// one MAP_SHARED page. steady_clock is system-wide, so children of every
+/// round measure elapsed time from the parent's start.
+struct CampaignRunner::TrialCursor {
+  std::atomic<u64> next{0};
+  std::atomic<u64> done{0};
+  u64 total = 0;  ///< fixed before any worker starts
+  // det-lint: allow(wallclock) elapsed/ETA for the progress stream only
+  std::chrono::steady_clock::time_point start =
+      // det-lint: allow(wallclock) elapsed/ETA for the progress stream only
+      std::chrono::steady_clock::now();
+};
+// Only a lock-free atomic is address-free, i.e. works between processes
+// that map the same page.
+static_assert(std::atomic<u64>::is_always_lock_free);
 
 u64 CampaignRunner::trial_seed(u64 campaign_seed, const ScenarioSpec& scenario,
                                u32 trial) {
@@ -106,18 +158,16 @@ u32 CampaignRunner::resolve_threads(std::size_t pending) const {
 
 void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
                              const std::vector<u8>* skip, u32 threads,
+                             TrialCursor& cursor,
                              const TrialSink& sink) const {
   const u32 trials = config_.trials;
   const std::size_t total = scenarios.size() * trials;
 
   const bool tracing = !config_.trace_path.empty();
-  std::string trace_json;  // written only by the traced trial's worker
-
 #if DNSTIME_OBS
   const bool dumping = !config_.dump_dir.empty();
   const DumpOn dump_mode =
       dumping ? parse_dump_on(config_.dump_on) : DumpOn::kAuto;
-  if (dumping) std::filesystem::create_directories(config_.dump_dir);
 #endif
 
   // Live progress stream (JSON Lines). Opened before any trial runs so a
@@ -145,22 +195,24 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
   };
   std::vector<ScenarioProgress> progress_state(
       progress_file != nullptr ? scenarios.size() : 0);
-  std::size_t executed_total = 0;  // guarded by error_mutex
-  std::size_t pending_total = total;
-  if (skip != nullptr) {
-    for (u8 s : *skip) {
-      if (s != 0) pending_total--;
-    }
-  }
-  // det-lint: allow(wallclock) elapsed/ETA for the progress stream only
-  const auto campaign_start = std::chrono::steady_clock::now();
 
-  std::atomic<std::size_t> next{0};
   std::atomic<bool> abort{false};
   std::mutex error_mutex;  // serialises progress_ and the error slots
   std::exception_ptr sink_error;      // first throw from sink, if any
   std::exception_ptr progress_error;  // first throw from progress_, if any
-  std::exception_ptr dump_error;      // first failed narrative dump write
+  std::exception_ptr output_error;    // first failed dump or trace write
+  // Dumps and the trace are written by whichever worker ran the trial.
+  // Losing them is worth failing the run over, but not worth aborting
+  // trials already in flight: keep the first failure for after the join.
+  const auto write_output = [&](const std::string& path,
+                                const std::string& bytes, const char* what) {
+    if (write_file(path, bytes)) return;
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!output_error) {
+      output_error = std::make_exception_ptr(std::runtime_error(
+          std::string("cannot write ") + what + " '" + path + "'"));
+    }
+  };
   auto worker = [&](u32 worker_id) {
 #if DNSTIME_OBS
     // Wall-clock utilisation, exported once per worker on any exit path.
@@ -190,10 +242,11 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
       }
     } wall;
 #endif
-    for (std::size_t i = next.fetch_add(1); i < total;
-         i = next.fetch_add(1)) {
+    for (u64 i = cursor.next.fetch_add(1); i < total;
+         i = cursor.next.fetch_add(1)) {
       if (abort.load(std::memory_order_relaxed)) return;
       if (skip != nullptr && (*skip)[i] != 0) continue;
+      if (config_.kill_trial == i) std::raise(SIGKILL);
       const std::size_t scenario_idx = i / trials;
       const u32 trial_idx = static_cast<u32>(i % trials);
       const ScenarioSpec& spec = scenarios[scenario_idx];
@@ -206,30 +259,15 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
       const bool traced = tracing && i == config_.trace_index;
       TrialResult result = execute_trial(spec, config_.seed, trial_idx, flight,
                                          traced ? &recorder : nullptr);
-      if (traced) trace_json = recorder.to_json();  // read after the join
+      if (traced) {
+        write_output(config_.trace_path, recorder.to_json(), "trace file");
+      }
 #if DNSTIME_OBS
       if (dumping && should_dump(dump_mode, spec, result)) {
-        const std::string json = narrative_json(flight, result);
-        const std::string path =
-            (std::filesystem::path(config_.dump_dir) /
-             dump_file_name(spec.name, trial_idx))
-                .string();
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        bool ok = f != nullptr;
-        if (ok) {
-          ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-          ok = (std::fclose(f) == 0) && ok;
-        }
-        if (!ok) {
-          // Losing forensics is worth failing the run over, but not worth
-          // aborting trials already in flight: capture the first write
-          // failure and rethrow it after the pool joins.
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!dump_error) {
-            dump_error = std::make_exception_ptr(std::runtime_error(
-                "cannot write narrative dump '" + path + "'"));
-          }
-        }
+        write_output((std::filesystem::path(config_.dump_dir) /
+                      dump_file_name(spec.name, trial_idx))
+                         .string(),
+                     narrative_json(flight, result), "narrative dump");
       }
       const double trial_s =
           // det-lint: allow(wallclock) trial_wall_us histogram, metrics-only
@@ -257,17 +295,17 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
         const double elapsed_s =
             // det-lint: allow(wallclock) ETA for the progress stream only
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          campaign_start)
+                                          cursor.start)
                 .count();
         std::lock_guard<std::mutex> lock(error_mutex);
         ScenarioProgress& sp = progress_state[scenario_idx];
         sp.done++;
         if (stored->success) sp.successes++;
-        executed_total++;
         ProgressLine line;
         line.trial = {spec.name, trial_idx, stored->success,
                       sp.done,   trials,    sp.successes};
-        line.campaign = {executed_total, pending_total, elapsed_s};
+        line.campaign = {cursor.done.fetch_add(1) + 1, cursor.total,
+                         elapsed_s};
         std::fputs(line.encode().c_str(), progress_file);
         std::fflush(progress_file);
       }
@@ -298,32 +336,27 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
   }
   if (sink_error) std::rethrow_exception(sink_error);
   if (progress_error) std::rethrow_exception(progress_error);
-  if (dump_error) std::rethrow_exception(dump_error);
+  if (output_error) std::rethrow_exception(output_error);
+}
 
-  if (tracing) {
-    if (trace_json.empty()) {
-      // Resumed campaign whose traced trial was already journaled: nothing
-      // re-executed, so there is nothing to trace.
-      std::fprintf(stderr,
-                   "dnstime: trace index %llu was skipped (already "
-                   "journaled); no trace written to %s\n",
-                   static_cast<unsigned long long>(config_.trace_index),
-                   config_.trace_path.c_str());
-      return;
-    }
-    std::FILE* f = std::fopen(config_.trace_path.c_str(), "wb");
-    if (f == nullptr) {
-      throw std::runtime_error("cannot open trace file '" +
-                               config_.trace_path + "' for writing");
-    }
-    const std::size_t written =
-        std::fwrite(trace_json.data(), 1, trace_json.size(), f);
-    const bool ok = written == trace_json.size() && std::fclose(f) == 0;
-    if (!ok) {
-      throw std::runtime_error("short write to trace file '" +
-                               config_.trace_path + "'");
-    }
+void CampaignRunner::execute_journaled(
+    const std::vector<ScenarioSpec>& scenarios, const store::JournalMeta& meta,
+    const std::vector<u8>& skip, u32 threads, TrialCursor& cursor,
+    u32 first_shard) const {
+  // One private shard per worker: the journal write path takes no lock.
+  // Writers open their file lazily, so an idle worker leaves no shard.
+  std::vector<store::ShardWriter> writers;
+  writers.reserve(threads);
+  for (u32 w = 0; w < threads; ++w) {
+    writers.emplace_back(config_.journal_dir, meta, first_shard + w);
   }
+  execute(scenarios, &skip, threads, cursor,
+          [&writers](u32 worker_id, std::size_t scenario_idx, u32,
+                     TrialResult&& r) -> const TrialResult& {
+            writers[worker_id].append(static_cast<u32>(scenario_idx), r);
+            return r;  // the worker's local outlives the progress call
+          });
+  for (store::ShardWriter& w : writers) w.close();
 }
 
 CampaignReport CampaignRunner::run(
@@ -337,12 +370,22 @@ CampaignReport CampaignRunner::run(
           " trials (scenario_index * trials + trial_index)");
     }
   }
+  if (config_.workers >= 2 && config_.journal_dir.empty()) {
+    throw std::invalid_argument(
+        "workers >= 2 requires a journal directory: the journal is how "
+        "worker processes hand back their results");
+  }
+  if (config_.kill_trial && config_.workers < 2) {
+    throw std::invalid_argument(
+        "kill_trial is a worker-process test hook and needs workers >= 2");
+  }
   if (!config_.dump_dir.empty()) {
     (void)parse_dump_on(config_.dump_on);  // reject bad predicates early
 #if !DNSTIME_OBS
     throw std::invalid_argument(
         "narrative dumps require an observability build (DNSTIME_OBS=1)");
 #endif
+    std::filesystem::create_directories(config_.dump_dir);
   }
   return config_.journal_dir.empty() ? run_in_memory(scenarios)
                                      : run_journaled(scenarios);
@@ -357,8 +400,9 @@ CampaignReport CampaignRunner::run_in_memory(
   std::vector<std::vector<TrialResult>> results(scenarios.size());
   for (auto& slot : results) slot.resize(trials);
 
-  execute(scenarios, /*skip=*/nullptr,
-          resolve_threads(scenarios.size() * trials),
+  TrialCursor cursor;
+  cursor.total = scenarios.size() * trials;
+  execute(scenarios, /*skip=*/nullptr, resolve_threads(cursor.total), cursor,
           [&results](u32, std::size_t scenario_idx, u32 trial_idx,
                      TrialResult&& r) -> const TrialResult& {
             results[scenario_idx][trial_idx] = std::move(r);
@@ -378,44 +422,146 @@ CampaignReport CampaignRunner::run_in_memory(
 
 CampaignReport CampaignRunner::run_journaled(
     const std::vector<ScenarioSpec>& scenarios) const {
-  const u32 trials = config_.trials;
-  const std::string& dir = config_.journal_dir;
-
   const store::JournalMeta meta =
-      store::JournalMeta::describe(config_.seed, trials, scenarios);
+      store::JournalMeta::describe(config_.seed, config_.trials, scenarios);
   const store::OpenedJournal journal =
-      store::open_journal(dir, meta, config_.resume);
-  // Every trial outside the pending ranges is already journaled.
-  std::vector<u8> skip(scenarios.size() * trials, u8{1});
-  std::size_t pending = 0;
-  for (const store::TrialRange& r : journal.pending) {
-    std::fill(skip.begin() + static_cast<std::ptrdiff_t>(r.begin),
-              skip.begin() + static_cast<std::ptrdiff_t>(r.end), u8{0});
-    pending += r.size();
+      store::open_journal(config_.journal_dir, meta, config_.resume);
+  std::vector<u8> skip =
+      journaled_mask(journal.pending, scenarios.size() * config_.trials);
+  if (!config_.trace_path.empty() && skip[config_.trace_index] != 0) {
+    // Resumed campaign whose traced trial was already journaled: nothing
+    // re-executes it, so there is nothing to trace.
+    std::fprintf(stderr,
+                 "dnstime: trace index %llu was skipped (already "
+                 "journaled); no trace written to %s\n",
+                 static_cast<unsigned long long>(config_.trace_index),
+                 config_.trace_path.c_str());
   }
-  const u32 threads = resolve_threads(pending);
-
-  // One private shard per worker: the journal write path takes no lock.
-  // Writers open their file lazily, so an idle worker leaves no shard.
-  std::vector<store::ShardWriter> writers;
-  writers.reserve(threads);
-  for (u32 w = 0; w < threads; ++w) {
-    writers.emplace_back(dir, meta, journal.next_shard_id + w);
+  if (config_.workers >= 2) {
+    run_worker_processes(scenarios, meta, std::move(skip),
+                         journal.next_shard_id);
+  } else {
+    TrialCursor cursor;
+    cursor.total = count_pending(skip);
+    execute_journaled(scenarios, meta, skip, resolve_threads(cursor.total),
+                      cursor, journal.next_shard_id);
   }
-  if (pending > 0) {
-    execute(scenarios, &skip, threads,
-            [&writers](u32 worker_id, std::size_t scenario_idx, u32,
-                       TrialResult&& r) -> const TrialResult& {
-              writers[worker_id].append(static_cast<u32>(scenario_idx), r);
-              return r;  // the worker's local outlives the progress call
-            });
-  }
-  for (store::ShardWriter& w : writers) w.close();
 
   // Streaming fold over the shards merged back into trial-index order: no
   // results vector ever holds the campaign, only the per-success durations
   // (8 bytes each) that the exact p50/p90 quantiles need.
-  return store::read_finished_report(dir, meta);
+  return store::read_finished_report(config_.journal_dir, meta);
+}
+
+void CampaignRunner::run_worker_processes(
+    const std::vector<ScenarioSpec>& scenarios, const store::JournalMeta& meta,
+    std::vector<u8> skip, u32 next_shard) const {
+  if (!config_.progress_path.empty()) {
+    // Start from a clean view, as a threads run truncates its file: shard
+    // ids keep counting across runs, so an earlier run's worker files would
+    // otherwise be merged with this run's.
+    std::filesystem::create_directories(config_.progress_path);
+    std::vector<std::filesystem::path> stale;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(config_.progress_path)) {
+      const std::string name = entry.path().filename().string();
+      if (entry.is_regular_file() && name.rfind("worker-", 0) == 0 &&
+          entry.path().extension() == ".jsonl") {
+        stale.push_back(entry.path());
+      }
+    }
+    for (const auto& path : stale) std::filesystem::remove(path);
+  }
+  void* page = ::mmap(nullptr, sizeof(TrialCursor), PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (page == MAP_FAILED) {
+    throw std::runtime_error(std::string("cannot map the trial cursor: ") +
+                             std::strerror(errno));
+  }
+  const auto unmap = [](TrialCursor* c) { ::munmap(c, sizeof(TrialCursor)); };
+  std::unique_ptr<TrialCursor, decltype(unmap)> cursor(new (page) TrialCursor,
+                                                       unmap);
+  cursor->total = count_pending(skip);
+  // det-lint: allow(pid) the children's orphan check; no pid reaches output
+  const pid_t parent = ::getpid();
+  CampaignConfig child = config_;  // loses the kill hook after round one
+
+  for (u64 pending = cursor->total; pending > 0;) {
+    const u32 children =
+        static_cast<u32>(std::min<u64>(config_.workers, pending));
+    cursor->next.store(0);
+    cursor->done.store(cursor->total - pending);
+    // A child inherits unflushed stdio buffers and must not replay them.
+    std::fflush(nullptr);
+    std::vector<pid_t> pids;
+    std::string failure;
+    for (u32 k = 0; k < children; ++k) {
+      const pid_t pid = ::fork();
+      if (pid == 0) {
+        // Die with the parent, so no orphan keeps appending to a journal a
+        // resumed run may already own. The re-check covers a parent that
+        // died before the prctl.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        // det-lint: allow(pid) orphan check only; no pid reaches output
+        if (::getppid() != parent) ::_exit(3);
+        const u32 shard = next_shard + k;
+        int code = 0;
+        try {
+          CampaignConfig mine = child;
+          if (!mine.progress_path.empty()) {
+            mine.progress_path += "/worker-" + std::to_string(shard) + ".jsonl";
+          }
+          CampaignRunner(std::move(mine))
+              .execute_journaled(scenarios, meta, skip, 1, *cursor, shard);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "dnstime: worker process for shard %u: %s\n",
+                       shard, e.what());
+          code = 1;
+        } catch (...) {
+          code = 1;
+        }
+        // _exit: the parent's atexit handlers and stdio buffers are not
+        // this process's to run.
+        ::_exit(code);
+      }
+      if (pid < 0) {
+        failure = std::string("cannot fork a worker process: ") +
+                  std::strerror(errno);
+        break;
+      }
+      pids.push_back(pid);
+    }
+    for (std::size_t k = 0; k < pids.size(); ++k) {
+      int status = 0;
+      while (::waitpid(pids[k], &status, 0) < 0 && errno == EINTR) {
+      }
+      // A child killed by a signal is what the next round recovers from;
+      // one that exits non-zero reported a failure the campaign must not
+      // paper over.
+      if (WIFEXITED(status) && WEXITSTATUS(status) != 0 && failure.empty()) {
+        failure = "worker process for shard " +
+                  std::to_string(next_shard + k) + " exited with status " +
+                  std::to_string(WEXITSTATUS(status));
+      }
+    }
+    if (!failure.empty()) throw std::runtime_error(failure);
+    next_shard += children;  // shard and progress names never repeat
+    child.kill_trial.reset();
+
+    // The journal is the only record of what the round did. Re-opening it
+    // truncates a killed child's torn tail.
+    const store::OpenedJournal journal =
+        store::open_journal(config_.journal_dir, meta, /*resume=*/true);
+    skip = journaled_mask(journal.pending, skip.size());
+    const u64 left = count_pending(skip);
+    if (left == pending) {
+      throw std::runtime_error(
+          "a round of worker processes journaled nothing: " +
+          std::to_string(left) + " trials outstanding");
+    }
+    pending = left;
+    next_shard = std::max(next_shard, journal.next_shard_id);
+  }
 }
 
 }  // namespace dnstime::campaign

@@ -57,8 +57,8 @@ struct TrialRange {
 };
 
 /// The maximal runs of flattened indices NOT yet journaled, ascending —
-/// the distributed coordinator's initial work pool, and what resuming
-/// after a coordinator crash re-leases. `num_scenarios`/`trials` describe
+/// what a (resumed) campaign and each round of worker processes still
+/// owe. `num_scenarios`/`trials` describe
 /// the campaign being (re)run; scan.done is consulted when the scan found
 /// shards (a fresh directory yields one range covering everything).
 [[nodiscard]] std::vector<TrialRange> pending_ranges(const JournalScan& scan,
@@ -82,8 +82,8 @@ struct OpenedJournal {
 };
 
 /// Readies `dir` (created if absent) to journal the campaign `meta`
-/// describes, for the runner and the dist coordinator alike, before any
-/// trial runs. Throws std::invalid_argument when two scenario names share
+/// describes, before any trial of any campaign mode runs (and again after
+/// each round of worker processes). Throws std::invalid_argument when two scenario names share
 /// an FNV-1a hash (their records could not be told apart), and
 /// std::runtime_error when `dir` already holds shards but `resume` is
 /// false, or when `resume` finds a journal of another seed, trial count or

@@ -222,9 +222,10 @@ TEST(CampaignCli, ParsesJournalResumeAndOutFlags) {
 }
 
 TEST(CampaignCli, RejectsInProcessFlagsWithWorkers) {
-  // Under --workers, trials run in child processes: a trace, a dump or a
-  // metrics section gathered by the coordinator would silently come out
-  // empty, so each must be refused up front.
+  // Worker processes run one trial at a time and keep their counters, so
+  // --threads would be silently ignored and --metrics would print an empty
+  // section: both are refused. Dumps and traces are written by the worker
+  // that runs the trial, as a thread would.
   const std::vector<std::string> dist = {"--workers", "2", "--journal", "j"};
   auto with = [&](std::vector<std::string> extra) {
     std::vector<std::string> args = dist;
@@ -232,11 +233,18 @@ TEST(CampaignCli, RejectsInProcessFlagsWithWorkers) {
     return parse(args);
   };
   EXPECT_TRUE(with({}).ok);
-  EXPECT_FALSE(with({"--trace", "trace.json"}).ok);
-  EXPECT_FALSE(with({"--dump", "dumps"}).ok);
+  EXPECT_EQ(with({}).config.workers, 2u);
+  EXPECT_TRUE(with({"--trace", "trace.json"}).ok);
+  EXPECT_EQ(with({"--dump", "dumps"}).ok, parse({"--dump", "dumps"}).ok);
+  EXPECT_FALSE(with({"--threads", "2"}).ok);
   EXPECT_FALSE(with({"--metrics"}).ok);
-  // A single process keeps --metrics.
-  EXPECT_TRUE(parse({"--workers", "1", "--journal", "j", "--metrics"}).ok);
+  EXPECT_FALSE(parse({"--workers", "2"}).ok);  // no journal
+  // A single process keeps --threads and --metrics.
+  EXPECT_TRUE(parse({"--workers", "1", "--threads", "2", "--metrics"}).ok);
+  // The crash-recovery test hook is the one hidden flag.
+  EXPECT_EQ(with({"--dist-kill-trial", "5"}).config.kill_trial, 5u);
+  EXPECT_FALSE(with({"--dist-kill-trial", "x"}).ok);
+  EXPECT_FALSE(with({"--dist-worker"}).ok);
 }
 
 TEST(CampaignTrial, ChronosWithZeroHonestRoundsHandsAttackerTheWholePool) {

@@ -1,20 +1,28 @@
-# End-to-end smoke of the distributed campaign coordinator, run by ctest
-# (see the add_test in the top-level CMakeLists). Exercises the full
-# failure model in one pass:
+# End-to-end smoke of --workers (forked worker processes), run by ctest
+# (see the add_test in the top-level CMakeLists). Exercises the failure
+# model in one pass:
 #
 #   1. single-process, single-thread journaled run -> baseline report;
-#   2. 4-worker distributed run over the SAME seed, with worker 1
-#      SIGKILLed by the coordinator's test hook after 5 trials land —
-#      its un-acked lease tail must be reissued and rebalanced;
+#   2. 4-worker run over the SAME seed, where the worker that claims trial
+#      5 SIGKILLs itself before running it (the --dist-kill-trial test
+#      hook) — the parent must notice the trial missing from the journal
+#      and run it in a second round;
 #   3. the two report files must be byte-identical (cmake -E
-#      compare_files), which is the distributed layer's whole contract:
-#      process count, stealing and mid-campaign death may change timing,
-#      never bytes.
+#      compare_files), which is the --workers contract: process count,
+#      scheduling and mid-campaign death may change timing, never bytes;
+#   4. the journal must hold a shard numbered 4 or more: the first round's
+#      four workers write shards 0..3, so such a shard proves the second
+#      round ran rather than the campaign finishing before the kill;
+#   5. Table II's stdout redirected to a file (fully buffered) must be the
+#      same under --workers 3 as under --threads 2, so no forked worker
+#      replays output the parent had buffered.
 #
-# Expects -DSWEEP=<path to example_campaign_sweep> and -DWORK_DIR=<scratch>.
+# Expects -DSWEEP=<path to example_campaign_sweep>,
+# -DTABLE2=<path to bench_table2_attack_duration> and -DWORK_DIR=<scratch>.
 
-if(NOT SWEEP OR NOT WORK_DIR)
-  message(FATAL_ERROR "dist_smoke.cmake needs -DSWEEP=... and -DWORK_DIR=...")
+if(NOT SWEEP OR NOT TABLE2 OR NOT WORK_DIR)
+  message(FATAL_ERROR
+          "dist_smoke.cmake needs -DSWEEP=..., -DTABLE2=... and -DWORK_DIR=...")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -33,17 +41,17 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "baseline run failed with exit code ${rc}")
 endif()
 
-message(STATUS "dist_smoke: 4-worker run, SIGKILLing worker 1 mid-campaign")
+message(STATUS "dist_smoke: 4-worker run, SIGKILLing the claimer of trial 5")
 execute_process(
   COMMAND ${SWEEP} ${common} --workers 4
           --journal "${WORK_DIR}/journal-dist"
           --progress "${WORK_DIR}/progress"
-          --dist-kill-worker 1 --dist-kill-after 5
+          --dist-kill-trial 5
           --out "${WORK_DIR}/report-dist.txt"
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "distributed run failed with exit code ${rc}")
+  message(FATAL_ERROR "worker-process run failed with exit code ${rc}")
 endif()
 
 execute_process(
@@ -52,16 +60,48 @@ execute_process(
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
-          "distributed report differs from the single-process baseline")
+          "worker-process report differs from the single-process baseline")
 endif()
 
-# The kill hook plus rebalance must leave more shards than workers (the
-# reissued tail lands in fresh shard ids) — prove the death path actually
-# ran rather than the campaign finishing before the kill.
 file(GLOB shards "${WORK_DIR}/journal-dist/shard-*.dtj")
 list(LENGTH shards nshards)
-if(nshards LESS 4)
-  message(FATAL_ERROR "expected >= 4 shards, found ${nshards}")
+set(second_round FALSE)
+foreach(shard ${shards})
+  get_filename_component(name "${shard}" NAME_WE)
+  string(REPLACE "shard-" "" id "${name}")
+  math(EXPR id "${id}")
+  if(id GREATER_EQUAL 4)
+    set(second_round TRUE)
+  endif()
+endforeach()
+if(NOT second_round)
+  message(FATAL_ERROR "no shard numbered 4 or more: the second round did not "
+                      "run (${nshards} shards)")
 endif()
 
-message(STATUS "dist_smoke: reports byte-identical across ${nshards} shards")
+message(STATUS "dist_smoke: Table II stdout, --threads 2 vs --workers 3")
+execute_process(
+  COMMAND ${TABLE2} --threads 2
+  OUTPUT_FILE "${WORK_DIR}/table2-threads.txt"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "Table II --threads 2 failed with exit code ${rc}")
+endif()
+execute_process(
+  COMMAND ${TABLE2} --workers 3 --journal "${WORK_DIR}/journal-table2"
+  OUTPUT_FILE "${WORK_DIR}/table2-workers.txt"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "Table II --workers 3 failed with exit code ${rc}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          "${WORK_DIR}/table2-threads.txt" "${WORK_DIR}/table2-workers.txt"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "Table II stdout differs between --threads 2 and "
+                      "--workers 3 (a worker replayed buffered output?)")
+endif()
+
+message(STATUS "dist_smoke: reports byte-identical across ${nshards} shards "
+               "and two rounds; Table II stdout identical")

@@ -1,28 +1,26 @@
-// The distributed campaign layer's process-free contracts:
-//   1. the lease wire codec is strict — a desynchronised pipe must parse
-//      to nullopt, never to a plausible-but-wrong message;
-//   2. LeaseBook (partition, work-stealing, death reissue, duplicate-ack
-//      dedupe) is a pure state machine whose decisions depend only on the
-//      event sequence;
-//   3. pending_ranges turns any journal scan into the exact work pool a
-//      coordinator (re)starts from;
-//   4. degraded journals — header-only shards, a worker's shard missing
-//      entirely, duplicated trials across shards, a coordinator killed
-//      mid-campaign — merge into reports byte-identical to an
-//      uninterrupted single-process run;
-//   5. the coordinator refuses a journal it must not touch before any
-//      worker process starts;
-//   6. ProgressMerger folds interleaved multi-process progress streams
+// The --workers layer's contracts:
+//   1. pending_ranges turns any journal scan into the exact set of trials a
+//      (re)started campaign still owes;
+//   2. degraded journals — header-only shards, a shard missing entirely,
+//      duplicated trials across shards, a parent killed mid-campaign —
+//      merge into reports byte-identical to an uninterrupted
+//      single-process run;
+//   3. the worker-process runner (CampaignConfig::workers, which forks this
+//      test binary) recovers a killed child with a second round, fails
+//      instead of looping when a round journals nothing, fails when a
+//      child exits non-zero, writes the same dumps and trace as threads,
+//      and refuses a journal it must not touch before forking;
+//   4. ProgressMerger folds interleaved multi-process progress streams
 //      without tearing lines split across reads.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "campaign/dist/coordinator.h"
-#include "campaign/dist/lease.h"
 #include "campaign/progress_merge.h"
 #include "campaign/runner.h"
 #include "campaign/store/journal.h"
@@ -37,9 +35,6 @@ namespace dnstime::campaign {
 namespace {
 
 namespace fs = std::filesystem;
-using dist::Lease;
-using dist::LeaseBook;
-using dist::Msg;
 using store::TrialRange;
 
 struct TempJournalDir {
@@ -86,9 +81,9 @@ store::JournalMeta meta_for(const CampaignConfig& config,
   return store::JournalMeta::describe(config.seed, config.trials, scenarios);
 }
 
-/// Executes flattened trial `idx` exactly the way a dist worker does and
-/// appends it to `writer` — the building block for simulating partial
-/// campaigns without spawning processes.
+/// Executes flattened trial `idx` exactly the way a campaign worker does
+/// and appends it to `writer` — the building block for simulating partial
+/// campaigns without forking.
 void execute_into(store::ShardWriter& writer,
                   const std::vector<ScenarioSpec>& scenarios, u64 seed,
                   u32 trials, u64 idx) {
@@ -97,66 +92,6 @@ void execute_into(store::ShardWriter& writer,
   writer.append(scenario_idx,
                 execute_trial(scenarios[scenario_idx], seed,
                               static_cast<u32>(idx % trials), flight));
-}
-
-// --- wire codec -------------------------------------------------------------
-
-TEST(DistMsg, RoundTripsEveryKind) {
-  Msg lease;
-  lease.kind = Msg::Kind::Lease;
-  lease.a = 10;
-  lease.b = 250;
-  lease.shard_id = 7;
-  EXPECT_EQ(lease.encode(), "LEASE 10 250 7\n");
-
-  Msg trim;
-  trim.kind = Msg::Kind::Trim;
-  trim.a = 130;
-  EXPECT_EQ(trim.encode(), "TRIM 130\n");
-
-  Msg fin;
-  fin.kind = Msg::Kind::Fin;
-  EXPECT_EQ(fin.encode(), "FIN\n");
-
-  Msg done;
-  done.kind = Msg::Kind::Done;
-  done.a = 42;
-  done.b = 1;
-  EXPECT_EQ(done.encode(), "DONE 42 1\n");
-
-  for (const Msg* m : {&lease, &trim, &fin, &done}) {
-    std::string line = m->encode();
-    line.pop_back();  // parse() takes the line without its '\n'
-    const std::optional<Msg> parsed = Msg::parse(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    EXPECT_EQ(parsed->kind, m->kind);
-    EXPECT_EQ(parsed->a, m->a);
-    EXPECT_EQ(parsed->b, m->b);
-    EXPECT_EQ(parsed->shard_id, m->shard_id);
-  }
-}
-
-TEST(DistMsg, RejectsEveryMalformation) {
-  const char* bad[] = {
-      "",                             // empty
-      "NOPE 1",                       // unknown verb
-      "lease 1 2 3",                  // verbs are case-sensitive
-      "FIN 1",                        // FIN takes no fields
-      "TRIM",                         // missing field
-      "TRIM ",                        // empty field
-      "TRIM 12x",                     // junk inside a field
-      "TRIM 12 ",                     // trailing separator
-      "LEASE 1 2",                    // missing shard id
-      "LEASE 1 2 3 4",                // trailing field
-      "LEASE 1 2 4294967296",         // shard id overflows u32
-      "LEASE -1 2 3",                 // signs are not digits
-      "DONE 5",                       // missing success flag
-      "DONE 5 2",                     // success must be 0 or 1
-      "DONE 18446744073709551616 0",  // u64 overflow
-  };
-  for (const char* line : bad) {
-    EXPECT_FALSE(Msg::parse(line).has_value()) << "'" << line << "'";
-  }
 }
 
 // --- pending_ranges ---------------------------------------------------------
@@ -185,109 +120,6 @@ TEST(PendingRanges, CompleteJournalYieldsNothing) {
   scan.found = true;
   scan.done = {{1, 1}, {1, 1}};
   EXPECT_TRUE(store::pending_ranges(scan, 2, 2).empty());
-}
-
-// --- LeaseBook --------------------------------------------------------------
-
-TEST(LeaseBookTest, StartupStealCascadePartitionsTheRange) {
-  // A fresh campaign's pool is one range; worker 0 takes it whole and the
-  // others carve it up by stealing half the largest remainder each.
-  LeaseBook book({{0, 16}}, 16, 4, /*first_shard_id=*/5);
-  const auto a0 = book.next_assignment(0);
-  ASSERT_TRUE(a0);
-  EXPECT_EQ(a0->lease, (Lease{0, 16, 5}));
-  EXPECT_FALSE(a0->stolen);
-
-  const auto a1 = book.next_assignment(1);
-  ASSERT_TRUE(a1);
-  EXPECT_TRUE(a1->stolen);
-  EXPECT_EQ(a1->victim, 0u);
-  EXPECT_EQ(a1->victim_new_end, 8u);
-  EXPECT_EQ(a1->lease, (Lease{8, 16, 6}));
-  EXPECT_EQ(book.active_lease(0).end, 8u);  // the TRIM the book decided on
-
-  const auto a2 = book.next_assignment(2);
-  ASSERT_TRUE(a2);
-  EXPECT_EQ(a2->lease, (Lease{4, 8, 7}));  // stole from worker 0 again
-  const auto a3 = book.next_assignment(3);
-  ASSERT_TRUE(a3);
-  EXPECT_EQ(a3->lease, (Lease{12, 16, 8}));  // worker 1 was then largest
-
-  // Every trial is covered exactly once by the four active leases.
-  std::vector<int> cover(16, 0);
-  for (u32 w = 0; w < 4; ++w) {
-    const Lease& l = book.active_lease(w);
-    for (u64 i = l.begin; i < l.end; ++i) cover[i]++;
-  }
-  for (u64 i = 0; i < 16; ++i) EXPECT_EQ(cover[i], 1) << "index " << i;
-  EXPECT_EQ(book.shard_ids_issued(), 9u);
-}
-
-TEST(LeaseBookTest, ResumePoolSkipsJournaledTrials) {
-  LeaseBook book({{2, 4}, {6, 8}}, 8, 2, 0);
-  EXPECT_EQ(book.target(), 4u);
-  const auto a0 = book.next_assignment(0);
-  const auto a1 = book.next_assignment(1);
-  ASSERT_TRUE(a0 && a1);
-  EXPECT_EQ(a0->lease, (Lease{2, 4, 0}));
-  EXPECT_EQ(a1->lease, (Lease{6, 8, 1}));
-}
-
-TEST(LeaseBookTest, DuplicateAcksCountOnceAndCompletionFreesTheWorker) {
-  LeaseBook book({{0, 3}}, 3, 1, 0);
-  (void)book.next_assignment(0);
-  book.mark_done(0, 0);
-  book.mark_done(0, 0);  // reissued-overlap duplicate
-  EXPECT_EQ(book.done_count(), 1u);
-  EXPECT_TRUE(book.worker_busy(0));
-  book.mark_done(0, 1);
-  book.mark_done(0, 2);
-  EXPECT_EQ(book.done_count(), 3u);
-  EXPECT_TRUE(book.all_done());
-  EXPECT_FALSE(book.worker_busy(0));
-}
-
-TEST(LeaseBookTest, DeadWorkerTailIsReissuedToTheNextIdleWorker) {
-  LeaseBook book({{0, 8}}, 8, 2, 0);
-  (void)book.next_assignment(0);
-  book.mark_done(0, 0);
-  book.mark_done(0, 1);
-  book.worker_dead(0);  // acked [0,2); tail [2,8) must survive
-  EXPECT_FALSE(book.worker_busy(0));
-
-  const auto a1 = book.next_assignment(1);
-  ASSERT_TRUE(a1);
-  EXPECT_FALSE(a1->stolen);  // from the pool, not a steal
-  EXPECT_EQ(a1->lease, (Lease{2, 8, 1}));
-  for (u64 i = 2; i < 8; ++i) book.mark_done(1, i);
-  EXPECT_EQ(book.done_count(), 8u);
-  EXPECT_TRUE(book.all_done());
-}
-
-TEST(LeaseBookTest, SingleTrialRemaindersAreNeverStolen) {
-  LeaseBook book({{0, 4}}, 4, 2, 0);
-  (void)book.next_assignment(0);
-  for (u64 i = 0; i < 3; ++i) book.mark_done(0, i);
-  // Worker 0 has exactly one unacked trial; stealing it would only race.
-  EXPECT_FALSE(book.next_assignment(1).has_value());  // parked
-  book.mark_done(0, 3);
-  EXPECT_TRUE(book.all_done());
-}
-
-TEST(LeaseBookTest, TrimRaceOverlapIsHarmless) {
-  // Victim journals past the split before the TRIM lands: its stale DONEs
-  // and the thief's re-executed copies both arrive; the done set counts
-  // each trial once and the campaign still converges.
-  LeaseBook book({{0, 8}}, 8, 2, 0);
-  (void)book.next_assignment(0);
-  const auto steal = book.next_assignment(1);
-  ASSERT_TRUE(steal && steal->stolen);
-  EXPECT_EQ(steal->victim_new_end, 4u);
-
-  for (u64 i = 0; i < 6; ++i) book.mark_done(0, i);  // raced past the TRIM
-  for (u64 i = 4; i < 8; ++i) book.mark_done(1, i);  // thief's full half
-  EXPECT_EQ(book.done_count(), 8u);
-  EXPECT_TRUE(book.all_done());
 }
 
 // --- degraded journal merges ------------------------------------------------
@@ -344,7 +176,7 @@ TEST(DistJournal, MissingWorkerShardResumesIntoIdenticalReport) {
   config.threads = 1;
   const CampaignReport baseline = CampaignRunner(config).run(scenarios);
 
-  // Workers 0 and 2 flushed their shards; worker 1 (leased [4, 8)) died
+  // Workers 0 and 2 flushed their shards; worker 1 (which ran [4, 8)) died
   // before writing anything — its shard simply does not exist.
   {
     store::ShardWriter w0(dir.path, meta_for(config, scenarios), 0);
@@ -365,7 +197,7 @@ TEST(DistJournal, MissingWorkerShardResumesIntoIdenticalReport) {
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0], (TrialRange{4, 8}));
 
-  // The resumed coordinator leases exactly that hole to a fresh shard.
+  // The resumed campaign runs exactly that hole into a fresh shard.
   {
     store::ShardWriter w(dir.path, meta_for(config, scenarios), 3);
     for (u64 idx = pending[0].begin; idx < pending[0].end; ++idx) {
@@ -409,7 +241,7 @@ TEST(DistJournal, DuplicateTrialsKeepExactlyTheFirstShardsCopy) {
   EXPECT_EQ(scan.records, 1u);
 }
 
-TEST(DistJournal, CoordinatorCrashMidCampaignResumesToIdenticalReport) {
+TEST(DistJournal, ParentCrashMidCampaignResumesToIdenticalReport) {
   TempJournalDir dir("crashresume");
   auto scenarios = two_synthetic_scenarios();
   CampaignConfig config;
@@ -419,22 +251,22 @@ TEST(DistJournal, CoordinatorCrashMidCampaignResumesToIdenticalReport) {
   const CampaignReport baseline = CampaignRunner(config).run(scenarios);
   const u64 total = u64{scenarios.size()} * config.trials;
 
-  // First coordinator: three workers were mid-lease when it died, each
-  // shard a different prefix of its lease (whatever happened to be flushed
-  // at the kill instant).
+  // First run: three workers were mid-way through their trials when the
+  // campaign died, each shard a different prefix of its share (whatever
+  // happened to be flushed at the kill instant).
   const store::JournalMeta meta = meta_for(config, scenarios);
-  const TrialRange leases[] = {{0, 6}, {6, 11}, {11, 16}};
+  const TrialRange shares[] = {{0, 6}, {6, 11}, {11, 16}};
   const u64 flushed[] = {4, 2, 5};
   for (u32 w = 0; w < 3; ++w) {
     store::ShardWriter writer(dir.path, meta, w);
-    for (u64 idx = leases[w].begin; idx < leases[w].begin + flushed[w];
+    for (u64 idx = shares[w].begin; idx < shares[w].begin + flushed[w];
          ++idx) {
       execute_into(writer, scenarios, config.seed, config.trials, idx);
     }
     writer.close();
   }
 
-  // Second coordinator: scan, lease out the holes, finish the campaign.
+  // Resumed run: scan, run the holes, finish the campaign.
   store::JournalScan scan = store::scan_journal(dir.path);
   const auto pending =
       store::pending_ranges(scan, scenarios.size(), config.trials);
@@ -457,27 +289,211 @@ TEST(DistJournal, CoordinatorCrashMidCampaignResumesToIdenticalReport) {
             baseline.to_json(/*include_trials=*/false));
 }
 
-// --- coordinator journal guards ---------------------------------------------
+// --- worker processes --------------------------------------------------------
 
-/// Runs the coordinator on a journal it must refuse and checks that the
-/// error names `why` and that no worker ran (workers would add shards).
-/// The progress path lies under a regular file: a coordinator that got
-/// past the journal checks fails there instead of forking this test binary
-/// as its workers.
+/// Config for a journaled campaign of `trials` trials per scenario in `dir`.
+CampaignConfig journaled(const std::string& dir, u32 trials, u32 workers) {
+  CampaignConfig config;
+  config.seed = 31;
+  config.trials = trials;
+  config.threads = 1;
+  config.workers = workers;
+  config.journal_dir = dir;
+  return config;
+}
+
+/// Largest shard id in the journal: the first round of W workers numbers
+/// its shards below W, so a larger id proves a second round ran.
+u32 max_shard_id(const std::string& dir) {
+  u32 max_id = 0;
+  for (const store::ShardState& st : store::scan_journal(dir).shards) {
+    max_id = std::max(max_id, st.shard_id);
+  }
+  return max_id;
+}
+
+std::string slurp(const fs::path& p) {
+  std::ostringstream out;
+  out << std::ifstream(p, std::ios::binary).rdbuf();
+  return out.str();
+}
+
+/// Folds every *.jsonl file in a --workers progress directory, the way
+/// campaign_watch does; `files` receives how many there were.
+ProgressMerger::Snapshot merge_progress_dir(const std::string& dir,
+                                            std::size_t& files) {
+  ProgressMerger merger;
+  files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".jsonl") continue;
+    const std::string text = slurp(entry.path());
+    merger.feed(files++, text.data(), text.size());
+  }
+  return merger.snapshot();
+}
+
+TEST(WorkerProcesses, KilledChildIsRecoveredByASecondRound) {
+  TempJournalDir dir("killed");
+  TempJournalDir base_dir("killed_base");
+  auto scenarios = two_synthetic_scenarios();
+  CampaignConfig config = journaled(dir.path, 12, /*workers=*/3);
+  // Whichever child claims trial 7 dies before running it; its siblings
+  // keep claiming, so only trial 7 is left for the second round.
+  config.kill_trial = 7;
+  config.progress_path = dir.path + "/progress";
+  const CampaignReport report = CampaignRunner(config).run(scenarios);
+
+  const CampaignReport baseline =
+      CampaignRunner(journaled(base_dir.path, 12, 0)).run(scenarios);
+  EXPECT_EQ(report.to_json(), baseline.to_json());
+  CampaignConfig in_memory{.seed = 31, .trials = 12, .threads = 1};
+  EXPECT_EQ(store::read_report(dir.path).to_json(),
+            CampaignRunner(in_memory).run(scenarios).to_json());
+  EXPECT_GE(max_shard_id(dir.path), 3u);
+
+  // The progress files add up to every trial, and the shared counter's
+  // largest campaign_done reaches the campaign total.
+  std::size_t files = 0;
+  const ProgressMerger::Snapshot snap =
+      merge_progress_dir(config.progress_path, files);
+  EXPECT_GT(files, 3u);  // a worker-<shard>.jsonl per child of both rounds
+  EXPECT_EQ(snap.campaign_done, 24u);
+  EXPECT_EQ(snap.campaign_total, 24u);
+  ASSERT_EQ(snap.rows.size(), 2u);
+  for (const ProgressMerger::MergedRow& row : snap.rows) {
+    EXPECT_EQ(row.done, 12u) << row.name;
+  }
+  // Every round measures elapsed time from the parent's start, so the
+  // newest line (the second round's) is no earlier than any file's last.
+  for (const auto& entry : fs::directory_iterator(config.progress_path)) {
+    const std::string text = slurp(entry.path());
+    ProgressMerger one;
+    one.feed(0, text.data(), text.size());
+    EXPECT_GE(snap.elapsed_s, one.snapshot().elapsed_s) << entry.path();
+  }
+}
+
+TEST(WorkerProcesses, EarlierRunsProgressFilesAreRemovedBeforeForking) {
+  // Shard ids keep counting across runs, so a resumed run never rewrites
+  // the killed run's worker files. Left in place, they would merge into
+  // this run's view. Files the runner does not write are left alone.
+  TempJournalDir dir("stale_progress");
+  auto scenarios = two_synthetic_scenarios();
+  CampaignConfig config = journaled(dir.path, 4, 2);
+  config.progress_path = dir.path + "/progress";
+  fs::create_directories(config.progress_path);
+  std::ofstream(config.progress_path + "/worker-9.jsonl")
+      << "{\"scenario\":\"synthetic/a\",\"trial\":0,\"success\":true,"
+         "\"done\":4,\"trials\":4,\"successes\":4,\"campaign_done\":30,"
+         "\"campaign_total\":40,\"elapsed_s\":9,\"eta_s\":3}\n";
+  std::ofstream(config.progress_path + "/notes.txt") << "kept\n";
+  (void)CampaignRunner(config).run(scenarios);
+
+  EXPECT_FALSE(fs::exists(config.progress_path + "/worker-9.jsonl"));
+  EXPECT_EQ(slurp(config.progress_path + "/notes.txt"), "kept\n");
+  std::size_t files = 0;
+  const ProgressMerger::Snapshot snap =
+      merge_progress_dir(config.progress_path, files);
+  EXPECT_EQ(files, 2u);  // this run's two children only
+  EXPECT_EQ(snap.campaign_done, 8u);
+  EXPECT_EQ(snap.campaign_total, 8u);
+  for (const ProgressMerger::MergedRow& row : snap.rows) {
+    EXPECT_EQ(row.done, 4u) << row.name;
+  }
+}
+
+TEST(WorkerProcesses, TrialThatAlwaysKillsItsProcessFailsTheCampaign) {
+  TempJournalDir dir("always_killed");
+  std::vector<ScenarioSpec> scenarios = two_synthetic_scenarios();
+  ScenarioSpec killer = synthetic_scenario("synthetic/killer");
+  killer.trial_fn = [](const ScenarioSpec&,
+                       const TrialContext& ctx) -> TrialResult {
+    if (ctx.trial == 1) std::raise(SIGKILL);
+    return {};
+  };
+  scenarios.push_back(std::move(killer));
+  try {
+    (void)CampaignRunner(journaled(dir.path, 4, 2)).run(scenarios);
+    ADD_FAILURE() << "a campaign that can never finish returned a report";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("journaled nothing: 1 trials "
+                                         "outstanding"),
+              std::string::npos)
+        << e.what();
+  }
+  // Everything but the killing trial was journaled before the rounds
+  // stopped.
+  EXPECT_EQ(store::scan_journal(dir.path).records, 11u);
+}
+
+TEST(WorkerProcesses, ChildExitingNonZeroFailsTheCampaign) {
+  TempJournalDir dir("exit_status");
+  auto scenarios = two_synthetic_scenarios();
+  CampaignConfig config = journaled(dir.path, 4, 2);
+  config.progress_path = dir.path + "/progress";
+  // Shard 0's progress file cannot be opened, so its child fails.
+  fs::create_directories(config.progress_path + "/worker-0.jsonl");
+  try {
+    (void)CampaignRunner(config).run(scenarios);
+    ADD_FAILURE() << "a failed worker process went unnoticed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "worker process for shard 0 exited with status 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+#if DNSTIME_OBS
+TEST(WorkerProcesses, DumpsAndTraceMatchThreads) {
+  TempJournalDir dir("outputs");
+  const std::vector<ScenarioSpec> scenarios{boot_time_scenario(),
+                                            synthetic_scenario("synthetic/a")};
+  CampaignConfig threads{.seed = 5, .trials = 2, .threads = 2};
+  threads.dump_dir = dir.path + "/dumps-threads";
+  threads.dump_on = "always";
+  threads.trace_path = dir.path + "/trace-threads.json";
+  threads.trace_index = 1;
+  CampaignConfig workers = threads;
+  workers.threads = 1;
+  workers.workers = 3;
+  workers.journal_dir = dir.path + "/journal";
+  workers.dump_dir = dir.path + "/dumps-workers";
+  workers.trace_path = dir.path + "/trace-workers.json";
+  (void)CampaignRunner(threads).run(scenarios);
+  (void)CampaignRunner(workers).run(scenarios);
+
+  const std::string trace = slurp(threads.trace_path);
+  EXPECT_NE(trace.find("\"name\":\"poison\""), std::string::npos);
+  EXPECT_EQ(slurp(workers.trace_path), trace);
+  std::size_t dumps = 0;
+  for (const auto& entry : fs::directory_iterator(threads.dump_dir)) {
+    EXPECT_EQ(slurp(fs::path(workers.dump_dir) / entry.path().filename()),
+              slurp(entry.path()))
+        << entry.path();
+    dumps++;
+  }
+  EXPECT_EQ(dumps, 4u);
+}
+#endif  // DNSTIME_OBS
+
+/// Runs a worker-process campaign on a journal it must refuse and checks
+/// that the error names `why` and that no worker ran (workers would add
+/// shards). The progress path lies under a regular file: a runner that
+/// got past the journal checks fails there instead of forking this test
+/// binary as its workers.
 void expect_refused(CampaignConfig config,
                     const std::vector<ScenarioSpec>& scenarios,
                     const std::string& why) {
   const std::string blocker = config.journal_dir + "/not-a-directory";
   std::ofstream(blocker) << "x";
   config.progress_path = blocker + "/progress";
+  config.workers = 2;
   const std::vector<std::string> shards_before =
       store::list_shards(config.journal_dir);
-  dist::DistOptions opt;
-  opt.workers = 2;
-  opt.respawn_args = {"dist_test"};
   try {
-    (void)dist::run_coordinator(config, scenarios, opt);
-    ADD_FAILURE() << "coordinator accepted the journal (" << why << ")";
+    (void)CampaignRunner(config).run(scenarios);
+    ADD_FAILURE() << "the runner accepted the journal (" << why << ")";
   } catch (const std::exception& e) {
     EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
         << e.what();
@@ -485,7 +501,7 @@ void expect_refused(CampaignConfig config,
   EXPECT_EQ(store::list_shards(config.journal_dir), shards_before);
 }
 
-TEST(DistCoordinator, RefusesForeignOrDirtyJournalsBeforeSpawningWorkers) {
+TEST(WorkerProcesses, RefuseForeignOrDirtyJournalsBeforeForking) {
   TempJournalDir dir("coordguard");
   auto scenarios = two_synthetic_scenarios();
   CampaignConfig config;
@@ -516,7 +532,7 @@ TEST(DistCoordinator, RefusesForeignOrDirtyJournalsBeforeSpawningWorkers) {
   expect_refused(other, renamed, "describes a different scenario set");
 }
 
-TEST(DistCoordinator, RefusesDuplicateScenarioNamesBeforeSpawningWorkers) {
+TEST(WorkerProcesses, RefuseDuplicateScenarioNamesBeforeForking) {
   TempJournalDir dir("coorddup");
   std::vector<ScenarioSpec> scenarios;
   scenarios.push_back(synthetic_scenario("synthetic/same"));
@@ -527,6 +543,12 @@ TEST(DistCoordinator, RefusesDuplicateScenarioNamesBeforeSpawningWorkers) {
   config.journal_dir = dir.path;
   expect_refused(config, scenarios,
                  "scenario name 'synthetic/same' is duplicated");
+}
+
+TEST(WorkerProcesses, RequireAJournal) {
+  CampaignConfig config{.seed = 1, .trials = 2, .threads = 1, .workers = 2};
+  EXPECT_THROW((void)CampaignRunner(config).run(two_synthetic_scenarios()),
+               std::invalid_argument);
 }
 
 // --- ProgressMerger ---------------------------------------------------------
@@ -620,20 +642,28 @@ TEST(ProgressMergerTest, InterleavedPartialLinesNeverTear) {
   EXPECT_EQ(row(b, "sweep/x").successes, 1u);
 }
 
-TEST(ProgressMergerTest, CampaignFactsComeFromCoordinatorStyleLines) {
+TEST(ProgressMergerTest, CampaignDoneIsTheLargestAcrossStreams) {
+  // Worker processes share one campaign_done counter but write separate
+  // files, so a file read later may carry an older (smaller) value. The
+  // total, elapsed time and ETA must come from the same (newest) line.
   ProgressMerger m;
-  const std::string worker = progress_line("sweep/x", 2, 4, 2);
-  const std::string coord =
+  const std::string trial_only = progress_line("sweep/x", 2, 4, 2);
+  const std::string newer =
       "{\"campaign_done\":5,\"campaign_total\":8,\"elapsed_s\":1.5,"
       "\"eta_s\":0.9}\n";
-  m.feed(0, worker.data(), worker.size());
-  m.feed(1, coord.data(), coord.size());
+  const std::string older =
+      "{\"campaign_done\":3,\"campaign_total\":9,\"elapsed_s\":1.2,"
+      "\"eta_s\":1.1}\n";
+  m.feed(0, trial_only.data(), trial_only.size());
+  m.feed(1, newer.data(), newer.size());
+  m.feed(2, older.data(), older.size());
   const auto snap = m.snapshot();
   EXPECT_EQ(snap.campaign_done, 5u);
   EXPECT_EQ(snap.campaign_total, 8u);
   EXPECT_DOUBLE_EQ(snap.elapsed_s, 1.5);
   EXPECT_DOUBLE_EQ(snap.eta_s, 0.9);
-  EXPECT_EQ(snap.bad_lines, 0u);  // neither line style is malformed
+  EXPECT_EQ(snap.rows.size(), 1u);
+  EXPECT_EQ(snap.bad_lines, 0u);  // campaign-only lines are well formed
 }
 
 TEST(ProgressMergerTest, MalformedLinesAreCountedNotFolded) {

@@ -206,8 +206,8 @@ TEST(CampaignForensics, DumpPredicatesSelectWhichTrialsDump) {
 }
 
 TEST(CampaignForensics, ReplayedTrialIsByteIdenticalToTheCampaignsFiles) {
-  // execute_trial is the one trial path of the runner, the dist worker and
-  // tools/trial_replay: running a single trial through it must reproduce
+  // execute_trial is the one trial path of the runner (threads or worker
+  // processes) and tools/trial_replay: running a single trial through it must reproduce
   // the campaign's --dump and --trace files byte for byte, for a healthy
   // trial and for a throwing one alike.
   const std::vector<ScenarioSpec> scenarios = {

@@ -2,14 +2,14 @@
 // `--progress PATH` and render a live per-scenario table — trials done,
 // success rate with its 95% Wilson interval, and the campaign-level ETA.
 //
-// PATH is a single file for one-process campaigns, or a directory for
-// distributed ones (`--workers N`): each worker process appends to its
-// own worker-<id>.jsonl and the coordinator to coordinator.jsonl, so no
-// two writers ever interleave mid-line. The watcher discovers *.jsonl
-// files on every poll tick (workers appear as they start), tails each at
-// its own offset, and folds everything through ProgressMerger — per-
-// scenario counts are summed across processes and the rate/CI recomputed,
-// so the fleet view matches what a single process would have printed.
+// PATH is a single file for threads campaigns, or a directory for
+// `--workers N` ones: each worker process appends to its own
+// worker-<shard>.jsonl (a crash-recovery round adds more), so no two
+// writers ever interleave mid-line. The watcher discovers *.jsonl files
+// on every poll tick (workers appear as they start), tails each at its
+// own offset, and folds everything through ProgressMerger — per-scenario
+// counts are summed across processes and the rate/CI recomputed, so the
+// view matches what a single process would have printed.
 //
 // Partial lines (a writer mid-fprintf, or a read racing a write) stay
 // buffered per file until their newline arrives.

@@ -31,11 +31,11 @@ fleet's batch ordering lives) and rejects the constructs that break it:
                provenance/flight-recorder layer (src/obs) must label
                events with sim-derived ids only.
   pid          process identity (getpid, getppid).  The multi-process
-               analogue of thread-id: which OS pid a distributed worker
-               gets is spawn-order and host dependent, so a pid reaching
+               analogue of thread-id: which OS pid a --workers process
+               gets is fork-order and host dependent, so a pid reaching
                a shard, report or progress byte breaks the cross-process
-               byte-identity contract (src/campaign/dist).  Worker
-               identity must be the coordinator-assigned worker id.
+               byte-identity contract (src/campaign/runner.cpp).  Worker
+               identity must be the shard id the runner assigns.
 
 Waivers: a finding is suppressed when the offending line — or the line
 directly above it — carries
