@@ -28,23 +28,23 @@ double simulated_hit_rate(std::size_t spray_width, double background_rate,
   WorldConfig wc;
   wc.seed = 7 + spray_width;
   World world(wc);
-  // Background load against the pool NS. The ticker owns itself via a
-  // shared_ptr so it outlives this scope for the whole simulation.
+  // Background load against the pool NS. The ticker lives in this frame,
+  // which outlasts every event that runs it; each firing re-arms a copy.
   auto& chatty = world.add_host(Ipv4Addr{10, 99, 0, 1});
+  std::function<void()> tick;
   if (background_rate > 0) {
     net::NetStack* cs = chatty.stack.get();
     Ipv4Addr ns = world.pool_ns_addr();
     auto interval = Duration::from_seconds_f(1.0 / background_rate);
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&world, cs, ns, interval, tick] {
+    tick = [&world, &tick, cs, ns, interval] {
       dns::DnsMessage q;
       q.id = cs->rng().next_u16();
       q.questions = {dns::DnsQuestion{
           dns::DnsName::from_string("pool.ntp.org"), dns::RrType::kA}};
       cs->send_udp(ns, cs->ephemeral_port(), kDnsPort, encode_dns(q));
-      world.loop().schedule_after(interval, *tick);
+      world.loop().schedule_after(interval, tick);
     };
-    (*tick)();
+    tick();
   }
 
   auto pc = world.default_poisoner_config();

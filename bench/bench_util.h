@@ -26,12 +26,6 @@ inline std::string pct(double fraction, int decimals = 1) {
   return buf;
 }
 
-inline std::string num(double v, int decimals = 1) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
 inline std::string minutes(double seconds) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.0f min", seconds / 60.0);

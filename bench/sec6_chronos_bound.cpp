@@ -1,47 +1,37 @@
 // §VI-C: the Chronos poisoning window. Sweep the number of honest hourly
 // queries N completed before the poisoning lands; the attack must succeed
 // for N <= 11 and fail for N >= 12 (2/3 * (89 + 4N) <= 89).
-// Closed form plus full end-to-end runs at the boundary.
+// Closed form plus full end-to-end runs at the boundary, executed as a
+// campaign over the registry's sec6/ scenarios.
+//
+// Takes every campaign flag (campaign/cli.h); --out/--json write the
+// report as bench_table2_attack_duration does.
 #include <cstdio>
+#include <cstring>
 
 #include "attack/chronos_attack.h"
 #include "bench_util.h"
-#include "chronos/chronos_client.h"
-#include "scenario/world.h"
-
-namespace {
+#include "campaign/cli.h"
+#include "campaign/runner.h"
 
 using namespace dnstime;
-using scenario::World;
-using scenario::WorldConfig;
-using sim::Duration;
 
-double end_to_end_offset(int honest_rounds) {
-  WorldConfig wc;
-  wc.pool_size = 96;
-  wc.attacker_ntp_count = 89;
-  wc.rate_limit_fraction = 0.0;
-  World world(wc);
-  auto& host = world.add_host(Ipv4Addr{10, 77, 0, 2});
-  ntp::ClientBaseConfig cfg;
-  cfg.resolver = world.resolver_addr();
-  chronos::ChronosClient client(*host.stack, host.clock, cfg);
-  client.start();
-  world.run_for(Duration::hours(honest_rounds - 1) + Duration::minutes(30));
-  attack::ChronosAttack attack(
-      world.attacker(),
-      attack::ChronosAttackConfig{.resolver_addr = world.resolver_addr(),
-                                  .malicious_ntp = world.attacker_ntp_addrs()});
-  attack.inject_whitebox(world.resolver());
-  world.run_for(Duration::hours(27 - honest_rounds));
-  return host.clock.offset();
-}
+int main(int argc, char** argv) {
+  campaign::CliOptions defaults;
+  defaults.config.trials = 1;
+  campaign::CliOptions opts = campaign::parse_cli(argc, argv, defaults);
+  if (!opts.ok) return 2;
 
-}  // namespace
-
-int main() {
   bench::header(
       "Sec. VI-C - Chronos poisoning window (89 records, TTL > 24h)");
+  campaign::CampaignReport report;
+  try {
+    report = campaign::CampaignRunner(opts.config)
+                 .run(campaign::ScenarioRegistry::builtin().select("sec6/"));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "campaign failed: %s\n", e.what());
+    return 1;
+  }
 
   std::printf("  Closed form: attacker wins iff N <= %d (paper: N <= 11)\n\n",
               attack::ChronosAttack::max_tolerable_honest_rounds(89));
@@ -54,15 +44,21 @@ int main() {
   }
 
   std::printf("\n  End-to-end boundary validation (full simulation):\n");
-  for (int n : {5, 11, 12}) {
-    double offset = end_to_end_offset(n);
-    std::printf("    N=%2d: victim clock offset %+8.1f s  (%s)\n", n, offset,
-                offset < -400 ? "SHIFTED -- attack succeeded"
-                              : "held -- Chronos refused the update");
+  for (const campaign::ScenarioAggregate& s : report.scenarios) {
+    // sec6/n-<N>; the offset is the mean over shifted trials (0 if none).
+    std::printf("    N=%2s: victim clock offset %+8.1f s  (%s)\n",
+                s.name.c_str() + std::strlen("sec6/n-"), s.shift_mean_s,
+                s.successes == s.trials ? "SHIFTED -- attack succeeded"
+                : s.successes == 0      ? "held -- Chronos refused the update"
+                                        : "mixed across trials");
   }
   std::printf(
       "\n  'The chances of a successful attack against Chronos are actually\n"
       "  higher than against a traditional NTP client during boot-time,\n"
       "  since the attacker effectively has 12 tries in 24 hours.'\n");
+  if ((!opts.out.empty() || opts.json) &&
+      !campaign::write_report(opts, report)) {
+    return 1;
+  }
   return 0;
 }

@@ -30,7 +30,6 @@ constexpr int kSamplesPerTrial = 25000;
 campaign::ScenarioSpec row_scenario(const analysis::TableIIIRow& row) {
   campaign::ScenarioSpec spec;
   spec.name = "table3/m" + std::to_string(row.m);
-  spec.description = "Monte Carlo P2 estimate for m=" + std::to_string(row.m);
   spec.attack = campaign::AttackKind::kCustom;
   const int m = row.m, n = row.n;
   spec.trial_fn = [m, n](const campaign::ScenarioSpec&,

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/stats.h"
+#include "obs/json_util.h"
 
 namespace dnstime::campaign::diff {
 namespace {
@@ -266,7 +267,7 @@ u32 DiffResult::regressions(double p_threshold) const {
 
 std::string DiffResult::to_json() const {
   std::string out;
-  out += "{\"alpha\":" + json_number(alpha);
+  out += "{\"alpha\":" + obs::json_number(alpha);
   out += ",\"baseline\":{\"seed\":" + std::to_string(baseline_seed);
   out += ",\"trials_per_scenario\":" + std::to_string(baseline_trials) + "}";
   out += ",\"candidate\":{\"seed\":" + std::to_string(candidate_seed);
@@ -278,9 +279,9 @@ std::string DiffResult::to_json() const {
     if (!first_scenario) out += ",";
     first_scenario = false;
     out += "{\"name\":\"";
-    json_escape_into(out, sd.name);
+    obs::append_escaped(out, sd.name);
     out += "\",\"attack\":\"";
-    json_escape_into(out, sd.attack);
+    obs::append_escaped(out, sd.attack);
     out += "\",\"in_baseline\":" + std::string(sd.in_baseline ? "true"
                                                               : "false");
     out += ",\"in_candidate\":" + std::string(sd.in_candidate ? "true"
@@ -291,15 +292,15 @@ std::string DiffResult::to_json() const {
       if (!first_metric) out += ",";
       first_metric = false;
       out += "{\"metric\":\"";
-      json_escape_into(out, m.metric);
-      out += "\",\"baseline\":" + json_number(m.baseline);
-      out += ",\"candidate\":" + json_number(m.candidate);
-      out += ",\"delta\":" + json_number(m.delta);
+      obs::append_escaped(out, m.metric);
+      out += "\",\"baseline\":" + obs::json_number(m.baseline);
+      out += ",\"candidate\":" + obs::json_number(m.candidate);
+      out += ",\"delta\":" + obs::json_number(m.delta);
       out += ",\"test\":\"";
-      json_escape_into(out, m.test);
-      out += "\",\"statistic\":" + json_number(m.statistic);
-      out += ",\"df\":" + json_number(m.df);
-      out += ",\"p\":" + json_number(m.p);
+      obs::append_escaped(out, m.test);
+      out += "\",\"statistic\":" + obs::json_number(m.statistic);
+      out += ",\"df\":" + obs::json_number(m.df);
+      out += ",\"p\":" + obs::json_number(m.p);
       out += ",\"verdict\":\"";
       out += to_string(m.verdict);
       out += "\"}";
@@ -320,7 +321,7 @@ std::string DiffResult::to_table() const {
                 static_cast<unsigned long long>(baseline_seed),
                 baseline_trials,
                 static_cast<unsigned long long>(candidate_seed),
-                candidate_trials, json_number(alpha).c_str(), significant);
+                candidate_trials, obs::json_number(alpha).c_str(), significant);
   out += line;
   std::snprintf(line, sizeof line,
                 "  %-24s %-15s %10s %10s %10s %9s  %s\n", "scenario",
@@ -330,7 +331,7 @@ std::string DiffResult::to_table() const {
   out.append(96, '-');
   out += "\n";
   auto num = [](double v) -> std::string {
-    return std::isnan(v) ? "-" : json_number(v);
+    return std::isnan(v) ? "-" : obs::json_number(v);
   };
   for (const ScenarioDiff& sd : scenarios) {
     if (!sd.in_baseline || !sd.in_candidate) {

@@ -110,9 +110,6 @@ ScenarioSpec population_shared_resolver_scenario(u32 clients) {
   ScenarioSpec spec;
   spec.name =
       "population/shared-resolver-" + std::to_string(clients / 1000) + "k";
-  spec.description =
-      "one resolver poisoning migrating across a fleet of " +
-      std::to_string(clients) + " clients as DNS TTLs roll over";
   spec.attack = AttackKind::kCustom;
   spec.population_clients = clients;
   spec.stop.deadline = sim::Duration::minutes(15);
@@ -125,9 +122,6 @@ ScenarioSpec population_ratelimit_herd_scenario(u32 clients) {
   ScenarioSpec spec;
   spec.name =
       "population/ratelimit-herd-" + std::to_string(clients / 1000) + "k";
-  spec.description =
-      "a fleet of " + std::to_string(clients) +
-      " clients starving a small, fully rate-limiting pool (herd KoD)";
   spec.attack = AttackKind::kCustom;
   spec.population_clients = clients;
   spec.world.pool_size = 4;

@@ -61,7 +61,7 @@ std::string ProgressLine::encode() const {
   std::string line;
   line.reserve(256);
   line += "{\"scenario\":\"";
-  obs::append_escaped(line, t.scenario.c_str());
+  obs::append_escaped(line, t.scenario);
   line += "\",\"trial\":";
   line += std::to_string(t.trial);
   line += ",\"success\":";

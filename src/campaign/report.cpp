@@ -1,39 +1,11 @@
 #include "campaign/report.h"
 
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
+#include "obs/json_util.h"
+
 namespace dnstime::campaign {
-
-/// Shortest-round-trip formatting for doubles: enough digits to be exact,
-/// no locale dependence — the report must be byte-stable across runs.
-/// Non-finite values become `null`: %g would print `nan`/`inf`, which are
-/// not JSON and silently corrupt every downstream parse of the report.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (u < 0x20) {  // RFC 8259: control characters must be escaped
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", u);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
 
 ScenarioAggregate ScenarioAggregate::from_results(
     const ScenarioSpec& spec, std::vector<TrialResult> results) {
@@ -99,18 +71,18 @@ std::string CampaignReport::to_json(bool include_trials,
     if (!first_scenario) out += ",";
     first_scenario = false;
     out += "{\"name\":\"";
-    json_escape_into(out, s.name);
+    obs::append_escaped(out, s.name);
     out += "\",\"attack\":\"";
-    json_escape_into(out, s.attack);
+    obs::append_escaped(out, s.attack);
     out += "\",\"trials\":" + std::to_string(s.trials);
     out += ",\"successes\":" + std::to_string(s.successes);
     out += ",\"errors\":" + std::to_string(s.errors);
-    out += ",\"success_rate\":" + json_number(s.success_rate);
-    out += ",\"duration_mean_s\":" + json_number(s.duration_mean_s);
-    out += ",\"duration_p50_s\":" + json_number(s.duration_p50_s);
-    out += ",\"duration_p90_s\":" + json_number(s.duration_p90_s);
-    out += ",\"shift_mean_s\":" + json_number(s.shift_mean_s);
-    out += ",\"metric_mean\":" + json_number(s.metric_mean);
+    out += ",\"success_rate\":" + obs::json_number(s.success_rate);
+    out += ",\"duration_mean_s\":" + obs::json_number(s.duration_mean_s);
+    out += ",\"duration_p50_s\":" + obs::json_number(s.duration_p50_s);
+    out += ",\"duration_p90_s\":" + obs::json_number(s.duration_p90_s);
+    out += ",\"shift_mean_s\":" + obs::json_number(s.shift_mean_s);
+    out += ",\"metric_mean\":" + obs::json_number(s.metric_mean);
     out += ",\"fragments_total\":" + std::to_string(s.fragments_total);
     if (include_trials) {
       out += ",\"results\":[";
@@ -121,14 +93,14 @@ std::string CampaignReport::to_json(bool include_trials,
         out += "{\"trial\":" + std::to_string(r.trial);
         out += ",\"seed\":" + std::to_string(r.seed);
         out += ",\"success\":" + std::string(r.success ? "true" : "false");
-        out += ",\"duration_s\":" + json_number(r.duration_s);
-        out += ",\"clock_shift_s\":" + json_number(r.clock_shift_s);
-        out += ",\"metric\":" + json_number(r.metric);
+        out += ",\"duration_s\":" + obs::json_number(r.duration_s);
+        out += ",\"clock_shift_s\":" + obs::json_number(r.clock_shift_s);
+        out += ",\"metric\":" + obs::json_number(r.metric);
         out += ",\"fragments_planted\":" + std::to_string(r.fragments_planted);
         out += ",\"replant_rounds\":" + std::to_string(r.replant_rounds);
         if (!r.error.empty()) {
           out += ",\"error\":\"";
-          json_escape_into(out, r.error);
+          obs::append_escaped(out, r.error);
           out += "\"";
         }
         out += "}";

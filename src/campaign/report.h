@@ -14,16 +14,6 @@
 
 namespace dnstime::campaign {
 
-/// Shortest-stable JSON number formatting shared by every report-family
-/// writer (campaign reports, the cross-campaign diff): %.6g, locale-free,
-/// non-finite values become `null` (`nan`/`inf` are not JSON).
-[[nodiscard]] std::string json_number(double v);
-
-/// Appends `s` to `out` with RFC 8259 string escaping (quote, backslash,
-/// and \u-escapes for control characters; other bytes pass through as
-/// UTF-8).
-void json_escape_into(std::string& out, const std::string& s);
-
 /// Aggregate over all trials of one scenario. Quantiles are computed over
 /// successful trials only (an unsuccessful trial's duration is the
 /// deadline, which would say nothing about the attack).

@@ -10,6 +10,10 @@ const char* to_string(ClientKind k) {
     case ClientKind::kNtpdRefid: return "ntpd-p2";
     case ClientKind::kChrony: return "chrony";
     case ClientKind::kOpenntpd: return "openntpd";
+    case ClientKind::kNtpdate: return "ntpdate";
+    case ClientKind::kAndroid: return "android";
+    case ClientKind::kNtpclient: return "ntpclient";
+    case ClientKind::kTimesyncd: return "timesyncd";
   }
   return "?";
 }
@@ -53,13 +57,12 @@ std::vector<ScenarioSpec> ScenarioRegistry::select(
 ScenarioSpec table2_scenario(ClientKind client) {
   ScenarioSpec spec;
   spec.name = std::string("table2/") + to_string(client);
-  spec.description =
-      std::string("run-time attack duration against ") + to_string(client);
   spec.client = client;
   spec.attack = AttackKind::kRunTime;
   if (client == ClientKind::kOpenntpd) {
-    // openntpd never re-queries DNS on its own; the trial models a
-    // 60-minute stall watchdog restart, so give the clock room to land.
+    // openntpd never re-queries DNS on its own: a 60-minute stall
+    // watchdog restarts it, so give the clock room to land.
+    spec.stop.restart_after = sim::Duration::minutes(60);
     spec.stop.settle = sim::Duration::minutes(30);
   }
   return spec;
@@ -68,8 +71,6 @@ ScenarioSpec table2_scenario(ClientKind client) {
 ScenarioSpec boot_time_scenario() {
   ScenarioSpec spec;
   spec.name = "boot-time/ntpd";
-  spec.description =
-      "poison the resolver first, then boot an ntpd into the attacker";
   spec.attack = AttackKind::kBootTime;
   spec.stop.deadline = sim::Duration::minutes(30);
   spec.stop.settle = sim::Duration::minutes(10);
@@ -79,7 +80,6 @@ ScenarioSpec boot_time_scenario() {
 ScenarioSpec chronos_scenario(int honest_rounds) {
   ScenarioSpec spec;
   spec.name = "chronos/pool-freeze";
-  spec.description = "freeze the Chronos pool with one long-TTL poisoning";
   spec.attack = AttackKind::kChronos;
   spec.chronos_honest_rounds = honest_rounds;
   spec.world.pool_size = 96;
@@ -93,9 +93,6 @@ ScenarioSpec chronos_scenario(int honest_rounds) {
 ScenarioSpec forensics_frag_filter_scenario() {
   ScenarioSpec spec = table2_scenario(ClientKind::kNtpdKnownList);
   spec.name = "forensics/frag-filter";
-  spec.description =
-      "run-time attack against a fragment-filtering resolver; fails by "
-      "design so narrative dumps have a reproducible chain break";
   spec.world.resolver_stack.accept_fragments = false;
   spec.stop.deadline = sim::Duration::minutes(45);
   spec.stop.settle = sim::Duration::minutes(5);
@@ -107,8 +104,6 @@ std::vector<ScenarioSpec> mtu_sweep(const std::vector<u16>& mtus) {
   for (u16 mtu : mtus) {
     ScenarioSpec spec = boot_time_scenario();
     spec.name = "sweep/mtu-" + std::to_string(mtu);
-    spec.description = "boot-time poisoning with attack MTU " +
-                       std::to_string(mtu) + " B";
     spec.world.attack_mtu = mtu;
     out.push_back(std::move(spec));
   }
@@ -121,8 +116,6 @@ std::vector<ScenarioSpec> pool_size_sweep(
   for (std::size_t n : sizes) {
     ScenarioSpec spec = boot_time_scenario();
     spec.name = "sweep/pool-" + std::to_string(n);
-    spec.description =
-        "boot-time poisoning with " + std::to_string(n) + " pool servers";
     spec.world.pool_size = n;
     out.push_back(std::move(spec));
   }
@@ -136,8 +129,6 @@ std::vector<ScenarioSpec> rate_limit_sweep(
     ScenarioSpec spec = table2_scenario(ClientKind::kNtpdKnownList);
     int pct = static_cast<int>(f * 100.0 + 0.5);
     spec.name = "sweep/ratelimit-" + std::to_string(pct);
-    spec.description = "run-time attack with " + std::to_string(pct) +
-                       "% of pool servers rate limiting";
     spec.world.rate_limit_fraction = f;
     out.push_back(std::move(spec));
   }
@@ -149,13 +140,43 @@ std::vector<ScenarioSpec> ttl_sweep(const std::vector<u32>& ttls) {
   for (u32 ttl : ttls) {
     ScenarioSpec spec = boot_time_scenario();
     spec.name = "sweep/ttl-" + std::to_string(ttl);
-    spec.description =
-        "boot-time poisoning with pool A TTL " + std::to_string(ttl) + " s";
     spec.world.pool_a_ttl = ttl;
     out.push_back(std::move(spec));
   }
   return out;
 }
+
+namespace {
+
+/// Table I: every client at boot time and, except one-shot ntpdate, at
+/// run time, in the table's row order.
+std::vector<ScenarioSpec> table1_matrix() {
+  std::vector<ScenarioSpec> out;
+  for (ClientKind client :
+       {ClientKind::kNtpdKnownList, ClientKind::kOpenntpd, ClientKind::kChrony,
+        ClientKind::kNtpdate, ClientKind::kAndroid, ClientKind::kNtpclient,
+        ClientKind::kTimesyncd}) {
+    const std::string stem =
+        std::string("table1/") +
+        (client == ClientKind::kNtpdKnownList ? "ntpd" : to_string(client));
+    // Boot time: the victim gets 30 minutes in the poisoned world.
+    ScenarioSpec boot = boot_time_scenario();
+    boot.name = stem + "-boot";
+    boot.client = client;
+    boot.stop.settle = sim::Duration::minutes(30);
+    out.push_back(std::move(boot));
+    if (client == ClientKind::kNtpdate) continue;  // one-shot: no run time
+    // Run time: 3 hours of flooding, and no restart to rescue openntpd.
+    ScenarioSpec run = table2_scenario(client);
+    run.name = stem + "-run";
+    run.stop = StopCondition{};
+    run.stop.deadline = sim::Duration::hours(3);
+    out.push_back(std::move(run));
+  }
+  return out;
+}
+
+}  // namespace
 
 ScenarioRegistry ScenarioRegistry::builtin() {
   ScenarioRegistry reg;
@@ -172,6 +193,13 @@ ScenarioRegistry ScenarioRegistry::builtin() {
   for (auto& s : pool_size_sweep()) reg.add(std::move(s));
   for (auto& s : rate_limit_sweep()) reg.add(std::move(s));
   for (auto& s : ttl_sweep()) reg.add(std::move(s));
+  for (auto& s : table1_matrix()) reg.add(std::move(s));
+  // §VI-C boundary runs, outside "chronos/" so that prefix stays one spec.
+  for (int n : {5, 11, 12}) {
+    ScenarioSpec spec = chronos_scenario(n);
+    spec.name = "sec6/n-" + std::to_string(n);
+    reg.add(std::move(spec));
+  }
   return reg;
 }
 

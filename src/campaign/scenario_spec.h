@@ -2,15 +2,17 @@
 //
 // A ScenarioSpec names one experiment configuration: a World to build, a
 // victim client implementation, an attack recipe and a stop condition.
-// The registry holds the paper's canonical scenarios (Table II run-time
-// rows, the §IV-A boot-time pipeline, the §VI-C Chronos pool freeze) plus
-// parameter sweeps (MTU, pool size, rate-limit fraction, pool A TTL).
+// The registry holds the paper's canonical scenarios (the Table I client
+// matrix, Table II run-time rows, the §IV-A boot-time pipeline, the §VI-C
+// Chronos pool freeze and its N = 5/11/12 boundary) plus parameter sweeps
+// (MTU, pool size, rate-limit fraction, pool A TTL).
 //
 // Specs are pure data: running N trials of a spec never mutates it, so the
 // same spec can be executed concurrently from many worker threads.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,13 +21,16 @@
 
 namespace dnstime::campaign {
 
-/// Which client implementation the victim host runs (Table I rows that the
-/// run-time attack distinguishes).
+/// Which client implementation the victim host runs (the Table I rows).
 enum class ClientKind {
   kNtpdKnownList,  ///< ntpd, attacker floods the enumerated pool (P1)
   kNtpdRefid,      ///< ntpd, upstreams learned from refid leak (P2)
   kChrony,         ///< chrony with poll backoff under failure
   kOpenntpd,       ///< openntpd; needs a restart to re-query DNS
+  kNtpdate,        ///< ntpdate; one-shot, boot time only
+  kAndroid,        ///< Android SNTP
+  kNtpclient,      ///< ntpclient; stalls instead of re-querying DNS
+  kTimesyncd,      ///< systemd-timesyncd
 };
 
 enum class AttackKind {
@@ -48,6 +53,11 @@ struct StopCondition {
   /// A victim clock offset at or below this many seconds is a success
   /// (the canonical lab shift is -500 s; -400 leaves slew margin).
   double success_shift = -400.0;
+  /// Run-time recipe, openntpd victims only: restart the daemon this long
+  /// after the attack starts, as an operator or stall watchdog would, so
+  /// its one boot-time lookup hits the poisoned cache. A restart on any
+  /// other victim is a trial error.
+  std::optional<sim::Duration> restart_after;
 };
 
 /// Outcome of one independent trial. All fields are derived from the
@@ -73,7 +83,6 @@ struct TrialContext {
 
 struct ScenarioSpec {
   std::string name;         ///< unique, e.g. "table2/ntpd-p1"
-  std::string description;
   scenario::WorldConfig world;
   ClientKind client = ClientKind::kNtpdKnownList;
   AttackKind attack = AttackKind::kRunTime;
@@ -106,8 +115,10 @@ class ScenarioRegistry {
   [[nodiscard]] std::vector<ScenarioSpec> select(
       std::string_view prefix) const;
 
-  /// The built-in catalogue: Table II clients, boot-time, Chronos, and the
-  /// default parameter sweeps.
+  /// The built-in catalogue: Table II clients, boot-time, Chronos, the
+  /// default parameter sweeps, then the Table I client matrix
+  /// ("table1/<client>-{boot,run}") and the §VI-C boundary runs
+  /// ("sec6/n-<N>").
   [[nodiscard]] static ScenarioRegistry builtin();
 
  private:

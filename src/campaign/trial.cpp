@@ -10,8 +10,11 @@
 #include "campaign/runner.h"
 #include "chronos/chronos_client.h"
 #include "ntp/clients/chrony.h"
+#include "ntp/clients/ntpclient.h"
 #include "ntp/clients/ntpd.h"
+#include "ntp/clients/ntpdate.h"
 #include "ntp/clients/openntpd.h"
+#include "ntp/clients/sntp_timesyncd.h"
 #include "obs/counters.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
@@ -40,6 +43,50 @@ void poison_delegation(World& world, attack::CachePoisoner& poisoner) {
   DNSTIME_TRACE_END(world.loop().now().ns(), "trial", "poison-delegation");
 }
 
+/// The victim's NTP daemon, the same for every recipe.
+std::unique_ptr<ntp::NtpClientBase> make_client(ClientKind kind, World& world,
+                                                World::Host& host) {
+  ntp::ClientBaseConfig cfg;
+  cfg.resolver = world.resolver_addr();
+  net::NetStack& st = *host.stack;
+  switch (kind) {
+    case ClientKind::kNtpdKnownList:
+    case ClientKind::kNtpdRefid:
+      return std::make_unique<ntp::NtpdClient>(st, host.clock, cfg);
+    case ClientKind::kChrony:
+      // chrony backs off its poll interval under persistent failure.
+      cfg.poll_interval = Duration::seconds(192);
+      return std::make_unique<ntp::ChronyClient>(st, host.clock, cfg);
+    case ClientKind::kOpenntpd:
+      return std::make_unique<ntp::OpenntpdClient>(st, host.clock, cfg);
+    case ClientKind::kNtpdate:
+      return std::make_unique<ntp::NtpdateClient>(st, host.clock, cfg);
+    case ClientKind::kAndroid:
+      return std::make_unique<ntp::AndroidSntpClient>(st, host.clock, cfg);
+    case ClientKind::kNtpclient:
+      return std::make_unique<ntp::NtpclientClient>(st, host.clock, cfg);
+    case ClientKind::kTimesyncd:
+      return std::make_unique<ntp::TimesyncdClient>(st, host.clock, cfg);
+  }
+  throw std::logic_error("unknown client kind");
+}
+
+/// The victim host's daemon. ntpd also serves NTP from the same process
+/// (the refid leak), so it gets a co-located server, declared first so it
+/// outlives the client that points at it.
+struct Victim {
+  Victim(ClientKind kind, World& world, World::Host& host)
+      : client(make_client(kind, world, host)) {
+    if (auto* ntpd = dynamic_cast<ntp::NtpdClient*>(client.get())) {
+      server = std::make_unique<ntp::NtpServer>(*host.stack, host.clock,
+                                                ntp::ServerConfig{});
+      ntpd->attach_server(server.get());
+    }
+  }
+  std::unique_ptr<ntp::NtpServer> server;
+  std::unique_ptr<ntp::NtpClientBase> client;
+};
+
 /// Advance the world in slices until `done` reports true or `budget` runs
 /// out; returns the simulated time consumed.
 Duration run_until(World& world, Duration budget, Duration slice,
@@ -58,36 +105,15 @@ TrialResult run_time_trial(const ScenarioSpec& spec, TrialResult result) {
   World world(wc);
 
   auto& host = world.add_host(kVictim);
-  ntp::ClientBaseConfig cfg;
-  cfg.resolver = world.resolver_addr();
-
-  std::unique_ptr<ntp::NtpClientBase> client;
-  std::unique_ptr<ntp::NtpServer> victim_server;
-  switch (spec.client) {
-    case ClientKind::kNtpdKnownList:
-    case ClientKind::kNtpdRefid: {
-      auto ntpd =
-          std::make_unique<ntp::NtpdClient>(*host.stack, host.clock, cfg);
-      victim_server = std::make_unique<ntp::NtpServer>(*host.stack, host.clock,
-                                                       ntp::ServerConfig{});
-      ntpd->attach_server(victim_server.get());
-      client = std::move(ntpd);
-      break;
-    }
-    case ClientKind::kChrony:
-      // chrony backs off its poll interval under persistent failure.
-      cfg.poll_interval = Duration::seconds(192);
-      client =
-          std::make_unique<ntp::ChronyClient>(*host.stack, host.clock, cfg);
-      break;
-    case ClientKind::kOpenntpd:
-      client =
-          std::make_unique<ntp::OpenntpdClient>(*host.stack, host.clock, cfg);
-      break;
+  Victim victim(spec.client, world, host);
+  auto* ontpd = dynamic_cast<ntp::OpenntpdClient*>(victim.client.get());
+  if (spec.stop.restart_after && ontpd == nullptr) {
+    throw std::invalid_argument("scenario '" + spec.name +
+                                "': restart_after needs an openntpd victim");
   }
   DNSTIME_TRACE_BEGIN(world.loop().now().ns(), "trial", "honest-sync");
   DNSTIME_PROV_EVENT(phase(world.loop().now().ns(), "honest-sync"));
-  client->start();
+  victim.client->start();
   world.run_for(Duration::minutes(12));
   DNSTIME_TRACE_END(world.loop().now().ns(), "trial", "honest-sync");
   if (host.clock.offset() < -1.0) {
@@ -113,12 +139,11 @@ TrialResult run_time_trial(const ScenarioSpec& spec, TrialResult result) {
   attack.run([&] { return host.clock.offset() <= spec.stop.success_shift; },
              [&](const attack::AttackOutcome& o) { outcome = o; });
 
-  if (spec.client == ClientKind::kOpenntpd) {
+  if (spec.stop.restart_after) {
     // openntpd never re-queries DNS: the attack starves it until the
-    // operator/watchdog restarts the daemon (we model a 60-minute stall
-    // watchdog), whose boot-time lookup then hits the poisoned cache.
-    auto* ontpd = static_cast<ntp::OpenntpdClient*>(client.get());
-    world.loop().schedule_after(Duration::minutes(60),
+    // operator/watchdog restarts the daemon, whose boot-time lookup then
+    // hits the poisoned cache.
+    world.loop().schedule_after(*spec.stop.restart_after,
                                 [ontpd] { ontpd->restart(); });
   }
 
@@ -168,12 +193,10 @@ TrialResult boot_time_trial(const ScenarioSpec& spec, TrialResult result) {
   // Fig. 2's second half: a victim that boots after the poisoning takes
   // all of its time from the attacker.
   auto& host = world.add_host(kVictim);
-  ntp::ClientBaseConfig cfg;
-  cfg.resolver = world.resolver_addr();
-  ntp::NtpdClient client(*host.stack, host.clock, cfg);
+  Victim victim(spec.client, world, host);
   DNSTIME_TRACE_BEGIN(world.loop().now().ns(), "trial", "victim-boot");
   DNSTIME_PROV_EVENT(phase(world.loop().now().ns(), "victim-boot"));
-  client.start();
+  victim.client->start();
   world.run_for(spec.stop.settle);
   DNSTIME_TRACE_END(world.loop().now().ns(), "trial", "victim-boot");
   result.clock_shift_s = host.clock.offset();

@@ -1,27 +1,30 @@
-// Locale-free JSON formatting helpers shared by the obs writers
-// (TraceRecorder and FlightRecorder).  Every function appends into a
-// caller-owned string and is a pure function of its arguments, so the
-// writers built on them stay byte-deterministic across runs, machines and
-// thread counts.
+// Locale-free JSON formatting helpers shared by every JSON writer: the
+// campaign report and diff, the trace and flight recorders, and the
+// progress stream. Every function is a pure function of its arguments, so
+// the writers built on them stay byte-deterministic across runs, machines
+// and thread counts.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 
 namespace dnstime::obs {
 
-/// Append `s` with JSON string escaping (RFC 8259: quote, backslash and
-/// control characters).
-inline void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
+/// Append `s` with JSON string escaping (RFC 8259): quote and backslash
+/// are backslash-escaped, a newline becomes \n, every other control
+/// character (NUL included) a \u escape; other bytes pass through as UTF-8.
+inline void append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
     const auto u = static_cast<unsigned char>(c);
     if (c == '"' || c == '\\') {
       out += '\\';
       out += c;
+    } else if (c == '\n') {
+      out += "\\n";
     } else if (u < 0x20) {
       char buf[8];
       std::snprintf(buf, sizeof buf, "\\u%04x", u);
@@ -46,9 +49,8 @@ inline void append_ts(std::string& out, i64 ts_ns) {
   out += buf;
 }
 
-/// Shortest %.6g rendering, non-finite as null (nan/inf are not JSON).
-/// Matches campaign::json_number so a flight-recorder dump and the report
-/// format the same double the same way.
+/// Shortest %.6g rendering, non-finite as null (nan/inf are not JSON and
+/// would corrupt every downstream parse).
 inline void append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
@@ -57,6 +59,13 @@ inline void append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   out += buf;
+}
+
+/// append_double as a value, for writers that build by concatenation.
+[[nodiscard]] inline std::string json_number(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 }  // namespace dnstime::obs

@@ -244,7 +244,7 @@ std::string FlightRecorder::to_json(const DumpContext& ctx) const {
   std::string out = "{\"narrative\":{";
   if (has_meta_) {
     out += "\"scenario\":\"";
-    append_escaped(out, scenario_.c_str());
+    append_escaped(out, scenario_);
     out += "\",\"campaign_seed\":" + std::to_string(campaign_seed_);
     out += ",\"trial\":" + std::to_string(trial_);
     out += ",\"trial_seed\":" + std::to_string(trial_seed_);
@@ -259,7 +259,7 @@ std::string FlightRecorder::to_json(const DumpContext& ctx) const {
     out += ",\"clock_shift_s\":";
     append_double(out, ctx.clock_shift_s);
     out += ",\"error\":\"";
-    append_escaped(out, ctx.error.c_str());
+    append_escaped(out, ctx.error);
     out += "\"}";
   } else {
     out += "null";

@@ -38,7 +38,7 @@ std::string TraceRecorder::to_json() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
   if (has_meta_) {
     out += "\"scenario\":\"";
-    append_escaped(out, scenario_.c_str());
+    append_escaped(out, scenario_);
     out += "\",\"seed\":" + std::to_string(seed_);
     out += ",\"trial\":" + std::to_string(trial_);
     out += ",";

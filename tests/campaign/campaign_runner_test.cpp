@@ -8,6 +8,9 @@
 
 #include <atomic>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/cli.h"
 #include "campaign/trial.h"
@@ -132,14 +135,56 @@ TEST(ScenarioRegistry, BuiltinCataloguesPaperScenariosAndSweeps) {
        {"table2/ntpd-p1", "table2/ntpd-p2", "table2/chrony",
         "table2/openntpd", "boot-time/ntpd", "chronos/pool-freeze",
         "sweep/mtu-296", "sweep/pool-16", "sweep/ratelimit-38",
-        "sweep/ttl-150"}) {
+        "sweep/ttl-150", "table1/ntpd-boot", "table1/android-run",
+        "sec6/n-5", "sec6/n-12"}) {
     EXPECT_NE(reg.find(name), nullptr) << name;
   }
   EXPECT_EQ(reg.select("table2/").size(), 4u);
   EXPECT_EQ(reg.select("sweep/").size(), 16u);
+  // Seven clients at boot time, all but one-shot ntpdate at run time.
+  EXPECT_EQ(reg.select("table1/").size(), 13u);
+  EXPECT_EQ(reg.select("sec6/").size(), 3u);
   EXPECT_EQ(reg.select("").size(), reg.all().size());
   EXPECT_THROW(reg.add(table2_scenario(ClientKind::kChrony)),
                std::invalid_argument);
+}
+
+// perfbench's four workloads (BENCHMARK.json) run builtin().select(p) for
+// these six prefixes. A scenario registered under one of them silently
+// changes what that workload measures and breaks comparison with every
+// earlier run, so each selection is pinned by name: a new scenario needs
+// a prefix of its own (as table1/ and sec6/ have).
+TEST(ScenarioRegistry, PerfbenchWorkloadSelectionsArePinned) {
+  const std::pair<const char*, std::vector<std::string>> workloads[] = {
+      {"table2/",
+       {"table2/ntpd-p2", "table2/ntpd-p1", "table2/openntpd",
+        "table2/chrony"}},
+      {"chronos/", {"chronos/pool-freeze"}},
+      {"population/",
+       {"population/shared-resolver-100k", "population/ratelimit-herd-100k"}},
+      {"sweep/mtu-",
+       {"sweep/mtu-296", "sweep/mtu-552", "sweep/mtu-1280", "sweep/mtu-1500"}},
+      {"sweep/pool-",
+       {"sweep/pool-8", "sweep/pool-16", "sweep/pool-32", "sweep/pool-64"}},
+      {"sweep/ttl-",
+       {"sweep/ttl-75", "sweep/ttl-150", "sweep/ttl-300", "sweep/ttl-600"}},
+  };
+  const ScenarioRegistry reg = ScenarioRegistry::builtin();
+  for (const auto& [prefix, expected] : workloads) {
+    std::vector<std::string> names;
+    for (const ScenarioSpec& s : reg.select(prefix)) names.push_back(s.name);
+    EXPECT_EQ(names, expected) << prefix;
+  }
+}
+
+TEST(CampaignTrial, RestartOfANonOpenntpdVictimIsATrialError) {
+  ScenarioSpec spec = table2_scenario(ClientKind::kChrony);
+  spec.stop.restart_after = sim::Duration::minutes(60);
+  CampaignReport report =
+      CampaignRunner({.seed = 1, .trials = 1, .threads = 1}).run({spec});
+  EXPECT_EQ(report.scenarios[0].errors, 1u);
+  EXPECT_NE(report.scenarios[0].results[0].error.find("openntpd"),
+            std::string::npos);
 }
 
 TEST(ScenarioRegistry, SweepsVaryTheAdvertisedParameter)  {

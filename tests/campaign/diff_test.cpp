@@ -24,6 +24,7 @@
 #include "campaign/diff/report_reader.h"
 #include "campaign/report.h"
 #include "common/rng.h"
+#include "obs/json_util.h"
 
 namespace dnstime::campaign {
 namespace {
@@ -47,7 +48,7 @@ bool same_double(double a, double b) {
 /// one format/parse cycle — then parse(emit(r)) == r holds exactly.
 double stabilize(double v) {
   if (!std::isfinite(v)) return v;
-  return std::strtod(json_number(v).c_str(), nullptr);
+  return std::strtod(obs::json_number(v).c_str(), nullptr);
 }
 
 double random_metric(Rng& rng) {

@@ -190,6 +190,11 @@ TEST(FlightRecorder, NarrativeJsonIsBytePinned) {
   EXPECT_NE(fr.to_json(failed_result()).find(
                 "{\"stage\":\"clock-shifted\",\"count\":0}"),
             std::string::npos);
+  // The error string is escaped as the campaign report escapes it: a
+  // newline as \n, and an embedded NUL does not cut the string short.
+  EXPECT_NE(fr.to_json(failed_result(std::string("wedged\n\0tail", 12)))
+                .find("\"error\":\"wedged\\n\\u0000tail\""),
+            std::string::npos);
 }
 
 TEST(FlightRecorder, ErrorEventKeepsTheLastSimTimestamp) {

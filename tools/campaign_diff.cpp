@@ -31,6 +31,7 @@
 
 #include "campaign/diff/diff.h"
 #include "campaign/diff/report_reader.h"
+#include "obs/json_util.h"
 
 using namespace dnstime;
 
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
                    "campaign_diff: %u regression(s) at p < %s "
                    "(baseline %s, candidate %s)\n",
                    regressions,
-                   campaign::json_number(gate_threshold).c_str(), inputs[0],
+                   obs::json_number(gate_threshold).c_str(), inputs[0],
                    inputs[1]);
       return 1;
     }
