@@ -1,4 +1,4 @@
-// Ablations over the design choices DESIGN.md calls out:
+// Ablations over the attack's key parameters:
 //  (1) reassembly timeout (Linux 30 s vs Windows 60/120 s) vs the
 //      fragments needed per TTL window (§IV-A economics);
 //  (2) IPID spray width vs nameserver background query rate (analytic

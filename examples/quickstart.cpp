@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "attack/boot_time_attack.h"
-#include "ntp/clients/ntpd.h"
+#include "ntp/clients/pool_client.h"
 #include "scenario/world.h"
 
 using namespace dnstime;
@@ -46,7 +46,8 @@ int main() {
   auto& victim = world.add_host(Ipv4Addr{10, 77, 0, 1});
   ntp::ClientBaseConfig client_cfg;
   client_cfg.resolver = world.resolver_addr();
-  ntp::NtpdClient client(*victim.stack, victim.clock, client_cfg);
+  ntp::PoolClient client(*victim.stack, victim.clock, client_cfg,
+                         ntp::Daemon::kNtpd);
   client.start();
   world.run_for(sim::Duration::minutes(10));
 

@@ -8,13 +8,13 @@
 //     victim's own NTP responses (scenario P2),
 //  3. silences each discovered server towards the victim by abusing NTP
 //     rate limiting with spoofed mode-3 floods,
-//  4. waits: the client demobilises dead associations, drops below
-//     NTP_MINCLOCK, re-queries DNS — and receives the attacker's fleet.
+//  4. waits: the client demobilises dead associations, re-queries DNS to
+//     replace them — and receives the attacker's fleet.
 #include <cstdio>
 
 #include "attack/query_trigger.h"
 #include "attack/run_time_attack.h"
-#include "ntp/clients/ntpd.h"
+#include "ntp/clients/pool_client.h"
 #include "scenario/world.h"
 
 using namespace dnstime;
@@ -27,7 +27,8 @@ int main() {
   auto& victim = world.add_host(victim_addr);
   ntp::ClientBaseConfig cfg;
   cfg.resolver = world.resolver_addr();
-  ntp::NtpdClient client(*victim.stack, victim.clock, cfg);
+  ntp::PoolClient client(*victim.stack, victim.clock, cfg,
+                         ntp::Daemon::kNtpd);
   ntp::NtpServer victim_server(*victim.stack, victim.clock,
                                ntp::ServerConfig{});
   client.attach_server(&victim_server);

@@ -21,7 +21,6 @@ class SmtpServer {
   SmtpServer& operator=(const SmtpServer&) = delete;
 
   [[nodiscard]] u64 mails_received() const { return mails_; }
-  [[nodiscard]] u64 lookups_triggered() const { return stub_.queries_sent(); }
 
  private:
   net::NetStack& stack_;

@@ -28,6 +28,7 @@ void RateLimitAbuser::relent(Ipv4Addr server) {
 }
 
 void RateLimitAbuser::stop() {
+  // det-lint: allow(unordered-iter) cancelling has no order-dependent effect.
   for (auto& [server, handle] : targets_) handle.cancel();
   targets_.clear();
 }

@@ -9,11 +9,9 @@
 #include "attack/run_time_attack.h"
 #include "campaign/runner.h"
 #include "chronos/chronos_client.h"
-#include "ntp/clients/chrony.h"
 #include "ntp/clients/ntpclient.h"
-#include "ntp/clients/ntpd.h"
 #include "ntp/clients/ntpdate.h"
-#include "ntp/clients/openntpd.h"
+#include "ntp/clients/pool_client.h"
 #include "ntp/clients/sntp_timesyncd.h"
 #include "obs/counters.h"
 #include "obs/provenance.h"
@@ -49,16 +47,19 @@ std::unique_ptr<ntp::NtpClientBase> make_client(ClientKind kind, World& world,
   ntp::ClientBaseConfig cfg;
   cfg.resolver = world.resolver_addr();
   net::NetStack& st = *host.stack;
+  ntp::Daemon daemon = ntp::Daemon::kNtpd;
   switch (kind) {
     case ClientKind::kNtpdKnownList:
     case ClientKind::kNtpdRefid:
-      return std::make_unique<ntp::NtpdClient>(st, host.clock, cfg);
+      break;
     case ClientKind::kChrony:
       // chrony backs off its poll interval under persistent failure.
       cfg.poll_interval = Duration::seconds(192);
-      return std::make_unique<ntp::ChronyClient>(st, host.clock, cfg);
+      daemon = ntp::Daemon::kChrony;
+      break;
     case ClientKind::kOpenntpd:
-      return std::make_unique<ntp::OpenntpdClient>(st, host.clock, cfg);
+      daemon = ntp::Daemon::kOpenntpd;
+      break;
     case ClientKind::kNtpdate:
       return std::make_unique<ntp::NtpdateClient>(st, host.clock, cfg);
     case ClientKind::kAndroid:
@@ -68,7 +69,7 @@ std::unique_ptr<ntp::NtpClientBase> make_client(ClientKind kind, World& world,
     case ClientKind::kTimesyncd:
       return std::make_unique<ntp::TimesyncdClient>(st, host.clock, cfg);
   }
-  throw std::logic_error("unknown client kind");
+  return std::make_unique<ntp::PoolClient>(st, host.clock, cfg, daemon);
 }
 
 /// The victim host's daemon. ntpd also serves NTP from the same process
@@ -77,10 +78,11 @@ std::unique_ptr<ntp::NtpClientBase> make_client(ClientKind kind, World& world,
 struct Victim {
   Victim(ClientKind kind, World& world, World::Host& host)
       : client(make_client(kind, world, host)) {
-    if (auto* ntpd = dynamic_cast<ntp::NtpdClient*>(client.get())) {
+    if (kind == ClientKind::kNtpdKnownList ||
+        kind == ClientKind::kNtpdRefid) {
       server = std::make_unique<ntp::NtpServer>(*host.stack, host.clock,
                                                 ntp::ServerConfig{});
-      ntpd->attach_server(server.get());
+      static_cast<ntp::PoolClient&>(*client).attach_server(server.get());
     }
   }
   std::unique_ptr<ntp::NtpServer> server;
@@ -106,8 +108,7 @@ TrialResult run_time_trial(const ScenarioSpec& spec, TrialResult result) {
 
   auto& host = world.add_host(kVictim);
   Victim victim(spec.client, world, host);
-  auto* ontpd = dynamic_cast<ntp::OpenntpdClient*>(victim.client.get());
-  if (spec.stop.restart_after && ontpd == nullptr) {
+  if (spec.stop.restart_after && spec.client != ClientKind::kOpenntpd) {
     throw std::invalid_argument("scenario '" + spec.name +
                                 "': restart_after needs an openntpd victim");
   }
@@ -143,8 +144,9 @@ TrialResult run_time_trial(const ScenarioSpec& spec, TrialResult result) {
     // openntpd never re-queries DNS: the attack starves it until the
     // operator/watchdog restarts the daemon, whose boot-time lookup then
     // hits the poisoned cache.
+    auto& ontpd = static_cast<ntp::PoolClient&>(*victim.client);
     world.loop().schedule_after(*spec.stop.restart_after,
-                                [ontpd] { ontpd->restart(); });
+                                [&ontpd] { ontpd.restart(); });
   }
 
   run_until(world, spec.stop.deadline + spec.stop.settle,

@@ -22,24 +22,6 @@ void ChronosClient::schedule_next() {
   });
 }
 
-void ChronosClient::collect_offsets(
-    const std::vector<Ipv4Addr>& servers,
-    std::function<void(std::vector<double>)> done) {
-  auto offsets = std::make_shared<std::vector<double>>();
-  auto outstanding = std::make_shared<int>(static_cast<int>(servers.size()));
-  if (servers.empty()) {
-    done({});
-    return;
-  }
-  for (Ipv4Addr server : servers) {
-    poll_server(server, [offsets, outstanding, done](
-                            const ntp::PollResult& r) {
-      if (r.responded) offsets->push_back(r.offset);
-      if (--*outstanding == 0) done(std::move(*offsets));
-    });
-  }
-}
-
 void ChronosClient::update_once(int retries_left) {
   const auto& pool = builder_.pool();
   int m = config_chronos_.params.sample_size;

@@ -42,8 +42,6 @@ class ChronosClient : public ntp::NtpClientBase {
 
  private:
   void update_once(int retries_left);
-  void collect_offsets(const std::vector<Ipv4Addr>& servers,
-                       std::function<void(std::vector<double>)> done);
   void schedule_next();
 
   ChronosClientConfig config_chronos_;

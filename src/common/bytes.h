@@ -154,7 +154,6 @@ class ByteReader {
     pos_ += n;
     return out;
   }
-  [[nodiscard]] Bytes read_remaining() { return read_bytes(remaining()); }
 
   void skip(std::size_t n) {
     require(n);

@@ -58,7 +58,6 @@ void Nameserver::on_query(const net::UdpEndpoint& from,
     return;
   }
   if (query.qr || query.questions.size() != 1) return;
-  queries_++;
   if (config_.query_log) {
     config_.query_log(from.addr, query.questions.front().name);
   }

@@ -34,13 +34,9 @@ class StaticZone : public ZoneAuthority {
         secret_(zone_secret) {}
 
   void add(const ResourceRecord& rr) { records_.push_back(rr); }
-  void add_rrset(const std::vector<ResourceRecord>& rrset) {
-    records_.insert(records_.end(), rrset.begin(), rrset.end());
-  }
   void clear() { records_.clear(); }
 
   [[nodiscard]] const DnsName& apex() const override { return apex_; }
-  [[nodiscard]] bool is_signed() const { return signed_; }
   [[nodiscard]] u64 secret() const { return secret_; }
 
   bool handle(const DnsQuestion& q, DnsMessage& response) override;
@@ -77,7 +73,6 @@ class Nameserver {
     zones_.push_back(std::move(zone));
   }
 
-  [[nodiscard]] u64 queries_received() const { return queries_; }
   [[nodiscard]] net::NetStack& stack() { return stack_; }
 
  private:
@@ -86,7 +81,6 @@ class Nameserver {
   net::NetStack& stack_;
   Config config_;
   std::vector<std::shared_ptr<ZoneAuthority>> zones_;
-  u64 queries_ = 0;
 };
 
 /// Append an RRset plus (when `zone_secret` != 0) its covering RRSIG to a

@@ -25,17 +25,6 @@ enum class RrType : u16 {
   kRrsig = 46,
 };
 
-[[nodiscard]] constexpr const char* rr_type_name(RrType t) {
-  switch (t) {
-    case RrType::kA: return "A";
-    case RrType::kNs: return "NS";
-    case RrType::kCname: return "CNAME";
-    case RrType::kTxt: return "TXT";
-    case RrType::kRrsig: return "RRSIG";
-  }
-  return "?";
-}
-
 struct ResourceRecord {
   DnsName name;
   RrType type = RrType::kA;

@@ -20,6 +20,7 @@ Resolver::Resolver(net::NetStack& stack, Config config)
 
 Resolver::~Resolver() {
   stack_.unbind_udp(kDnsPort);
+  // det-lint: allow(unordered-iter) cancelling and unbinding commute.
   for (auto& [key, p] : pending_) {
     p.timeout.cancel();
     if (p.src_port != 0) stack_.unbind_udp(p.src_port);
@@ -118,7 +119,9 @@ void Resolver::respond_empty(const net::UdpEndpoint& to, u16 id,
 
 void Resolver::start_upstream(const DnsQuestion& q,
                               const net::UdpEndpoint& client, u16 client_id) {
-  // Coalesce with an in-flight query for the same question.
+  // Coalesce with an in-flight query for the same question. At most one
+  // entry matches: an entry is only created when this scan finds none.
+  // det-lint: allow(unordered-iter) the match, if any, is unique.
   for (auto& [key, p] : pending_) {
     if (p.question == q) {
       p.clients.push_back(client);
@@ -138,10 +141,10 @@ void Resolver::start_upstream(const DnsQuestion& q,
   p.client_ids.push_back(client_id);
   p.upstream = *upstream;
   pending_.emplace(key, std::move(p));
-  send_upstream(pending_.at(key));
+  send_upstream(key, pending_.at(key));
 }
 
-void Resolver::send_upstream(Pending& p) {
+void Resolver::send_upstream(u64 key, Pending& p) {
   upstream_queries_++;
   p.attempts++;
   if (p.src_port != 0) stack_.unbind_udp(p.src_port);
@@ -149,15 +152,6 @@ void Resolver::send_upstream(Pending& p) {
   p.src_port = config_.randomize_challenge
                    ? stack_.ephemeral_port()
                    : static_cast<u16>(10000 + (seq_txid_ % 1000));
-
-  // Locate our own key (small map; linear scan is fine at sim scale).
-  u64 key = 0;
-  for (auto& [k, cand] : pending_) {
-    if (&cand == &p) {
-      key = k;
-      break;
-    }
-  }
 
   stack_.bind_udp(p.src_port, [this, key](const net::UdpEndpoint& from, u16,
                                           BufView payload) {
@@ -213,7 +207,7 @@ void Resolver::on_upstream_timeout(u64 key) {
   if (it == pending_.end()) return;
   Pending& p = it->second;
   if (p.attempts <= config_.upstream_retries) {
-    send_upstream(p);
+    send_upstream(key, p);
     return;
   }
   fail(key, Rcode::kServFail);

@@ -96,7 +96,7 @@ class Resolver {
                      Rcode rcode);
   void start_upstream(const DnsQuestion& q, const net::UdpEndpoint& client,
                       u16 client_id);
-  void send_upstream(Pending& p);
+  void send_upstream(u64 pending_key, Pending& p);
   void on_upstream_response(u64 pending_key, const net::UdpEndpoint& from,
                             BufView payload);
   void on_upstream_timeout(u64 pending_key);
@@ -147,7 +147,6 @@ class StubResolver {
   StubResolver(net::NetStack& stack, Ipv4Addr resolver_addr)
       : stack_(stack), resolver_(resolver_addr) {}
 
-  void set_resolver(Ipv4Addr addr) { resolver_ = addr; }
   [[nodiscard]] Ipv4Addr resolver() const { return resolver_; }
 
   /// Issue one query. Timeout after `timeout` (one retry) yields an empty

@@ -1,5 +1,5 @@
 // Synthetic populations standing in for the paper's Internet-scale
-// measurement targets (substitution documented in DESIGN.md §1).
+// measurement targets, which a simulator cannot scan.
 //
 // Each sampler draws per-host behaviour profiles from the marginal
 // distributions the paper *reports*; the measurement tools then run the
@@ -105,8 +105,8 @@ struct AdClientParams {
   double mobile_fraction = 0.53;  ///< 3108 of 5847
   double google_resolver_fraction = 791.0 / 5847.0;
   /// Monotone fragment-acceptance classes for non-Google resolvers,
-  /// calibrated to Table V's tiny/medium/big marginals (see
-  /// EXPERIMENTS.md for the calibration note).
+  /// calibrated to Table V's tiny/medium/big marginals: a resolver that
+  /// accepts a fragment size accepts every larger one.
   /// Per-region tiny(68B) acceptance among non-Google resolvers,
   /// back-calibrated from Table V's regional tiny columns.
   double accept_tiny_by_region[5] = {0.67, 0.85, 0.84, 0.68, 0.79};

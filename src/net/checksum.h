@@ -22,7 +22,7 @@ namespace dnstime::net {
 [[nodiscard]] u16 ones_complement_sum(std::span<const u8> data);
 
 /// Reference byte-pair implementation, kept as the test oracle for the
-/// word-at-a-time version (and for the before/after microbenchmark).
+/// word-at-a-time version.
 [[nodiscard]] u16 ones_complement_sum_scalar(std::span<const u8> data);
 
 /// Combine two folded partial sums (ones' complement addition).

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -126,7 +127,6 @@ class NetStack : public sim::PacketSink {
   [[nodiscard]] u64 datagrams_fragmented() const {
     return datagrams_fragmented_;
   }
-  [[nodiscard]] ReassemblyCache& reassembly_cache() { return reasm_; }
 
  private:
   void handle_transport(const Ipv4Packet& pkt);
@@ -140,7 +140,7 @@ class NetStack : public sim::PacketSink {
   Rng rng_;
   ReassemblyCache reasm_;
   std::unordered_map<u16, UdpHandler> udp_handlers_;
-  std::unordered_map<u64, PacketTap> taps_;
+  std::map<u64, PacketTap> taps_;  ///< by token: fire in registration order
   u64 next_tap_token_ = 1;
   std::unordered_map<Ipv4Addr, u16> path_mtu_;
   std::unordered_map<Ipv4Addr, u16> ipid_per_dst_;

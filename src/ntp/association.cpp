@@ -7,18 +7,11 @@ void Association::on_poll_sent() {
   unanswered_++;
 }
 
-void Association::on_response(double offset, double delay, sim::Time now) {
+void Association::on_response(double offset, double delay) {
   reach_ |= 1;
   unanswered_ = 0;
-  responses_++;
-  last_response_ = now;
   samples_.push_back({offset, delay});
   while (samples_.size() > 8) samples_.pop_front();
-}
-
-void Association::on_kod(sim::Time now) {
-  kods_++;
-  last_response_ = now;
 }
 
 std::optional<double> Association::filtered_offset() const {
@@ -28,11 +21,6 @@ std::optional<double> Association::filtered_offset() const {
     if (s.delay <= best->delay) best = &s;
   }
   return best->offset;
-}
-
-std::optional<double> Association::last_offset() const {
-  if (samples_.empty()) return std::nullopt;
-  return samples_.back().offset;
 }
 
 }  // namespace dnstime::ntp

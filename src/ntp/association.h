@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "common/types.h"
-#include "sim/time.h"
 
 namespace dnstime::ntp {
 
@@ -19,17 +18,13 @@ class Association {
 
   /// Record a poll being sent: shifts the reachability register left.
   void on_poll_sent();
-  /// Record a usable mode-4 response with the measured offset/delay.
-  void on_response(double offset, double delay, sim::Time now);
-  /// Record a Kiss-o'-Death from the server.
-  void on_kod(sim::Time now);
+  /// Record a usable mode-4 response with the measured offset/delay. A
+  /// Kiss-o'-Death is no response: it leaves the register draining.
+  void on_response(double offset, double delay);
 
   [[nodiscard]] bool reachable() const { return reach_ != 0; }
-  [[nodiscard]] u8 reach() const { return reach_; }
   /// Polls sent since the last response.
   [[nodiscard]] int unanswered_polls() const { return unanswered_; }
-  [[nodiscard]] u64 responses() const { return responses_; }
-  [[nodiscard]] bool got_kod() const { return kods_ > 0; }
 
   /// Clock-filtered offset: the sample with minimum delay among the last 8
   /// (RFC 5905 clock filter essence). Ties prefer the newest sample.
@@ -39,10 +34,6 @@ class Association {
   /// clock — pre-step samples are measured against a clock that no longer
   /// exists (ntpd likewise clears its filter registers on a step).
   void clear_samples() { samples_.clear(); }
-  [[nodiscard]] std::optional<double> last_offset() const;
-  [[nodiscard]] std::optional<sim::Time> last_response_at() const {
-    return last_response_;
-  }
 
  private:
   struct Sample {
@@ -52,10 +43,7 @@ class Association {
   Ipv4Addr addr_;
   u8 reach_ = 0;
   int unanswered_ = 0;
-  u64 responses_ = 0;
-  u64 kods_ = 0;
   std::deque<Sample> samples_;
-  std::optional<sim::Time> last_response_;
 };
 
 }  // namespace dnstime::ntp

@@ -61,6 +61,23 @@ void NtpClientBase::poll_server(Ipv4Addr server, PollCallback cb) {
                                [finish] { finish(PollResult{}); });
 }
 
+void NtpClientBase::collect_offsets(
+    const std::vector<Ipv4Addr>& servers,
+    std::function<void(std::vector<double>)> done) {
+  if (servers.empty()) {
+    done({});
+    return;
+  }
+  auto offsets = std::make_shared<std::vector<double>>();
+  auto outstanding = std::make_shared<std::size_t>(servers.size());
+  for (Ipv4Addr server : servers) {
+    poll_server(server, [offsets, outstanding, done](const PollResult& r) {
+      if (r.responded) offsets->push_back(r.offset);
+      if (--*outstanding == 0) done(std::move(*offsets));
+    });
+  }
+}
+
 void NtpClientBase::resolve(const std::string& domain,
                             dns::StubResolver::Callback cb) {
   stub_.resolve(dns::DnsName::from_string(domain), dns::RrType::kA,

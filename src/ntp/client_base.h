@@ -3,10 +3,11 @@
 // offset/delay computation, and clock discipline with step/panic
 // thresholds.
 //
-// Each concrete client in ntp/clients/ reproduces the DNS-lookup and
-// association-management behaviour of one real implementation from the
-// paper's Table I; those behavioural differences — not the NTP arithmetic —
-// decide which attack (boot-time/run-time) applies.
+// The clients in ntp/clients/ reproduce the DNS-lookup and
+// association-management behaviour of the real implementations in the
+// paper's Table I (PoolClient covers ntpd, chrony and openntpd from one
+// per-daemon table); those behavioural differences — not the NTP
+// arithmetic — decide which attack (boot-time/run-time) applies.
 #pragma once
 
 #include <functional>
@@ -75,6 +76,12 @@ class NtpClientBase {
   /// Send one mode-3 query to `server` and deliver the outcome (response,
   /// KoD, or timeout) to `cb`.
   void poll_server(Ipv4Addr server, PollCallback cb);
+
+  /// Poll every server in `servers` at once; when the last poll ends, hand
+  /// `done` the offsets of those that answered, in arrival order (at once
+  /// if `servers` is empty).
+  void collect_offsets(const std::vector<Ipv4Addr>& servers,
+                       std::function<void(std::vector<double>)> done);
 
   /// Resolve `domain` A records via the configured resolver.
   void resolve(const std::string& domain, dns::StubResolver::Callback cb);

@@ -13,34 +13,21 @@ void NtpdateClient::start() {
 }
 
 void NtpdateClient::run(std::function<void(double)> on_done) {
-  invocations_++;
   resolve(config_.pool_domains.front(),
           [this, on_done](const std::vector<dns::ResourceRecord>& answers) {
             last_servers_.clear();
             for (const auto& rr : answers) last_servers_.push_back(rr.a);
-            if (last_servers_.empty()) {
-              on_done(0.0);
-              return;
-            }
-            auto offsets = std::make_shared<std::vector<double>>();
-            auto outstanding =
-                std::make_shared<int>(static_cast<int>(last_servers_.size()));
-            for (Ipv4Addr server : last_servers_) {
-              poll_server(server, [this, offsets, outstanding,
-                                   on_done](const PollResult& r) {
-                if (r.responded) offsets->push_back(r.offset);
-                if (--*outstanding == 0) {
-                  if (offsets->empty()) {
-                    on_done(0.0);
-                    return;
-                  }
-                  double combined = median(*offsets);
-                  // ntpdate -b: always step, no panic limit.
-                  clock_.step(combined, stack_.now());
-                  on_done(combined);
-                }
-              });
-            }
+            collect_offsets(last_servers_, [this, on_done](
+                                               std::vector<double> offsets) {
+              if (offsets.empty()) {
+                on_done(0.0);
+                return;
+              }
+              double combined = median(std::move(offsets));
+              // ntpdate -b: always step, no panic limit.
+              clock_.step(combined, stack_.now());
+              on_done(combined);
+            });
           });
 }
 

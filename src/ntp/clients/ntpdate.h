@@ -26,11 +26,8 @@ class NtpdateClient : public NtpClientBase {
     return last_servers_;
   }
 
-  [[nodiscard]] u64 invocations() const { return invocations_; }
-
  private:
   std::vector<Ipv4Addr> last_servers_;
-  u64 invocations_ = 0;
 };
 
 }  // namespace dnstime::ntp

@@ -46,8 +46,7 @@ void TimesyncdClient::poll_once() {
       failures_ = 0;
       // SNTP: apply every response directly (timesyncd steps large
       // offsets regardless of uptime).
-      discipline(r.offset, /*at_boot=*/!first_sync_done_ || true);
-      first_sync_done_ = true;
+      discipline(r.offset, /*at_boot=*/true);
       stack_.loop().schedule_after(config_.poll_interval,
                                    [this] { poll_once(); });
       return;

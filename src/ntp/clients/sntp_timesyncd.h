@@ -28,10 +28,6 @@ class TimesyncdClient : public NtpClientBase {
   }
   [[nodiscard]] std::vector<Ipv4Addr> current_servers() const override;
 
-  [[nodiscard]] std::optional<Ipv4Addr> active_server() const {
-    if (server_list_.empty()) return std::nullopt;
-    return server_list_[index_];
-  }
   [[nodiscard]] u64 dns_lookups() const { return lookups_; }
 
  private:
@@ -42,7 +38,6 @@ class TimesyncdClient : public NtpClientBase {
   std::vector<Ipv4Addr> server_list_;  ///< cached from the last DNS answer
   std::size_t index_ = 0;
   int failures_ = 0;
-  bool first_sync_done_ = false;
   bool lookup_in_flight_ = false;
   u64 lookups_ = 0;
 };

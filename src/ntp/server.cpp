@@ -37,7 +37,6 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
     return;
   }
   if (query.mode != Mode::kClient) return;
-  queries_++;
 
   sim::Time now = stack_.now();
   switch (limiter_.check(from.addr, now)) {
@@ -45,7 +44,6 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
       dropped_++;
       return;
     case RateLimiter::Action::kKod: {
-      kods_++;
       NtpPacket kod;
       kod.mode = Mode::kServer;
       kod.stratum = 0;
@@ -69,7 +67,6 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
   resp.org_time = query.tx_time;
   resp.rx_time = wall;
   resp.tx_time = wall;
-  responses_++;
   stack_.send_udp(from.addr, kNtpPort, from.port, encode_ntp_buf(resp));
 }
 

@@ -42,9 +42,6 @@ class NtpServer {
   void set_upstream(Ipv4Addr addr) { upstream_ = addr; }
   [[nodiscard]] Ipv4Addr upstream() const { return upstream_; }
 
-  [[nodiscard]] u64 queries_received() const { return queries_; }
-  [[nodiscard]] u64 responses_sent() const { return responses_; }
-  [[nodiscard]] u64 kods_sent() const { return kods_; }
   [[nodiscard]] u64 dropped_rate_limited() const { return dropped_; }
   [[nodiscard]] RateLimiter& rate_limiter() { return limiter_; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
@@ -57,9 +54,6 @@ class NtpServer {
   ServerConfig config_;
   RateLimiter limiter_;
   Ipv4Addr upstream_;
-  u64 queries_ = 0;
-  u64 responses_ = 0;
-  u64 kods_ = 0;
   u64 dropped_ = 0;
 };
 

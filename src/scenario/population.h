@@ -94,9 +94,6 @@ class ClientPopulation {
   [[nodiscard]] u32 clients() const { return config_.clients; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
-  /// Accumulated clock shift (seconds) of client `i`; 0 = still true time.
-  [[nodiscard]] double shift_of(u32 i) const { return shift_[i]; }
-
   /// Fraction of the fleet shifted at least as far as `threshold`
   /// (threshold < 0 counts shift <= threshold; > 0 counts shift >=
   /// threshold). The campaign's fleet-shift metric.

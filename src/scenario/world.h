@@ -64,7 +64,6 @@ class World {
   [[nodiscard]] dns::Resolver& resolver() { return *resolver_; }
   [[nodiscard]] dns::PoolZone& pool_zone() { return *pool_zone_; }
   [[nodiscard]] Ipv4Addr pool_ns_addr() const { return ns_stack_->addr(); }
-  [[nodiscard]] net::NetStack& pool_ns_stack() { return *ns_stack_; }
   [[nodiscard]] std::vector<Ipv4Addr> pool_server_addrs() const;
   [[nodiscard]] ntp::NtpServer& pool_server(std::size_t i) {
     return *pool_servers_[i]->server;

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ntp/clients/ntpd.h"
+#include "ntp/clients/pool_client.h"
 #include "scenario/world.h"
 
 namespace dnstime::attack {
@@ -34,7 +34,7 @@ TEST(BootTimeAttack, OpenResolverPipelinePoisonsThenShiftsBootingClient) {
   auto& host = world.add_host(Ipv4Addr{10, 77, 0, 9});
   ntp::ClientBaseConfig cfg;
   cfg.resolver = world.resolver_addr();
-  ntp::NtpdClient client(*host.stack, host.clock, cfg);
+  ntp::PoolClient client(*host.stack, host.clock, cfg, ntp::Daemon::kNtpd);
   client.start();
   world.run_for(Duration::minutes(10));
   EXPECT_NEAR(host.clock.offset(), -500.0, 5.0);

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/query_trigger.h"
-#include "ntp/clients/ntpd.h"
+#include "ntp/clients/pool_client.h"
 #include "ntp/clients/sntp_timesyncd.h"
 #include "scenario/world.h"
 
@@ -43,7 +43,8 @@ void poison_via_fragments(World& world) {
 TEST(RunTimeAttack, P1KnownListShiftsNtpd) {
   World world;
   auto& host = world.add_host(kVictimAddr);
-  ntp::NtpdClient client(*host.stack, host.clock, client_config(world));
+  ntp::PoolClient client(*host.stack, host.clock, client_config(world),
+                         ntp::Daemon::kNtpd);
   client.start();
   world.run_for(Duration::minutes(10));
   ASSERT_NEAR(host.clock.offset(), 0.0, 1.0);  // honestly synchronised
@@ -67,7 +68,8 @@ TEST(RunTimeAttack, P1KnownListShiftsNtpd) {
 TEST(RunTimeAttack, P2RefidLeakShiftsNtpdSlower) {
   World world;
   auto& host = world.add_host(kVictimAddr);
-  ntp::NtpdClient client(*host.stack, host.clock, client_config(world));
+  ntp::PoolClient client(*host.stack, host.clock, client_config(world),
+                         ntp::Daemon::kNtpd);
   ntp::NtpServer victim_server(*host.stack, host.clock, ntp::ServerConfig{});
   client.attach_server(&victim_server);  // default ntpd: also a server
   client.start();
@@ -92,7 +94,8 @@ TEST(RunTimeAttack, P2RefidLeakShiftsNtpdSlower) {
 TEST(RunTimeAttack, ConfigInterfaceDiscoveryWorks) {
   World world;
   auto& host = world.add_host(kVictimAddr);
-  ntp::NtpdClient client(*host.stack, host.clock, client_config(world));
+  ntp::PoolClient client(*host.stack, host.clock, client_config(world),
+                         ntp::Daemon::kNtpd);
   ntp::ServerConfig vs;
   vs.open_config_interface = true;  // the 5.3% case
   ntp::NtpServer victim_server(*host.stack, host.clock, vs);
@@ -142,7 +145,8 @@ TEST(RunTimeAttack, FailsWhenNoServerRateLimits) {
   wc.rate_limit_fraction = 0.0;  // nothing to abuse
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  ntp::NtpdClient client(*host.stack, host.clock, client_config(world));
+  ntp::PoolClient client(*host.stack, host.clock, client_config(world),
+                         ntp::Daemon::kNtpd);
   client.start();
   world.run_for(Duration::minutes(10));
   poison_via_fragments(world);

@@ -6,11 +6,9 @@
 
 #include "attack/chronos_attack.h"
 #include "attack/ratelimit_abuser.h"
-#include "ntp/clients/chrony.h"
 #include "ntp/clients/ntpclient.h"
-#include "ntp/clients/ntpd.h"
 #include "ntp/clients/ntpdate.h"
-#include "ntp/clients/openntpd.h"
+#include "ntp/clients/pool_client.h"
 #include "ntp/clients/sntp_timesyncd.h"
 #include "scenario/world.h"
 
@@ -34,13 +32,16 @@ std::unique_ptr<NtpClientBase> make_client(const std::string& kind,
                                            scenario::World::Host& host) {
   auto cfg = base_config(world);
   if (kind == "ntpd") {
-    return std::make_unique<NtpdClient>(*host.stack, host.clock, cfg);
+    return std::make_unique<PoolClient>(*host.stack, host.clock, cfg,
+                                        Daemon::kNtpd);
   }
   if (kind == "chrony") {
-    return std::make_unique<ChronyClient>(*host.stack, host.clock, cfg);
+    return std::make_unique<PoolClient>(*host.stack, host.clock, cfg,
+                                        Daemon::kChrony);
   }
   if (kind == "openntpd") {
-    return std::make_unique<OpenntpdClient>(*host.stack, host.clock, cfg);
+    return std::make_unique<PoolClient>(*host.stack, host.clock, cfg,
+                                        Daemon::kOpenntpd);
   }
   if (kind == "timesyncd") {
     return std::make_unique<TimesyncdClient>(*host.stack, host.clock, cfg);
@@ -103,16 +104,27 @@ TEST(NtpdClient, GrowsToSixAssociations) {
   wc.rate_limit_fraction = 0.0;
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  NtpdClient client(*host.stack, host.clock, base_config(world));
+  PoolClient client(*host.stack, host.clock, base_config(world),
+                    Daemon::kNtpd);
   client.start();
   world.run_for(Duration::minutes(20));
   EXPECT_EQ(client.association_count(), 6u);  // NTP_MAXCLOCK minus pool slots
 }
 
-TEST(NtpdClient, RunTimeFloodForcesDnsRequery) {
+// Both daemons that query DNS at run time replace flooded associations.
+class RunTimeRefill : public ::testing::TestWithParam<Daemon> {};
+
+INSTANTIATE_TEST_SUITE_P(Daemons, RunTimeRefill,
+                         ::testing::Values(Daemon::kNtpd, Daemon::kChrony),
+                         [](const auto& info) {
+                           return info.param == Daemon::kNtpd ? "ntpd"
+                                                              : "chrony";
+                         });
+
+TEST_P(RunTimeRefill, RunTimeFloodForcesDnsRequery) {
   World world;  // all pool servers rate limit
   auto& host = world.add_host(kVictimAddr);
-  NtpdClient client(*host.stack, host.clock, base_config(world));
+  PoolClient client(*host.stack, host.clock, base_config(world), GetParam());
   client.start();
   world.run_for(Duration::minutes(10));
   u64 refills_before = client.dns_refills();
@@ -130,7 +142,8 @@ TEST(NtpdClient, SystemPeerLeaksViaAttachedServer) {
   wc.rate_limit_fraction = 0.0;
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  NtpdClient client(*host.stack, host.clock, base_config(world));
+  PoolClient client(*host.stack, host.clock, base_config(world),
+                    Daemon::kNtpd);
   SystemClock& shared_clock = host.clock;
   NtpServer victim_server(*host.stack, shared_clock, ServerConfig{});
   client.attach_server(&victim_server);
@@ -143,7 +156,8 @@ TEST(NtpdClient, SystemPeerLeaksViaAttachedServer) {
 TEST(OpenntpdClient, NeverQueriesDnsAtRunTime) {
   World world;
   auto& host = world.add_host(kVictimAddr);
-  OpenntpdClient client(*host.stack, host.clock, base_config(world));
+  PoolClient client(*host.stack, host.clock, base_config(world),
+                    Daemon::kOpenntpd);
   client.start();
   world.run_for(Duration::minutes(10));
   u64 queries_after_boot = client.dns_queries();
@@ -156,6 +170,52 @@ TEST(OpenntpdClient, NeverQueriesDnsAtRunTime) {
   EXPECT_EQ(client.dns_queries(), queries_after_boot);
 }
 
+TEST(OpenntpdClient, RestartRequeriesDnsOnce) {
+  // §V-A2: a silenced openntpd comes back only through a restart, whose
+  // boot-time lookup then decides its servers — here a poisoned answer.
+  World world;
+  auto& host = world.add_host(kVictimAddr);
+  PoolClient client(*host.stack, host.clock, base_config(world),
+                    Daemon::kOpenntpd);
+  client.start();
+  world.run_for(Duration::minutes(10));
+  std::vector<Ipv4Addr> honest = client.current_servers();
+  ASSERT_EQ(honest.size(), 4u);
+
+  attack::RateLimitAbuser abuser(world.attacker(), kVictimAddr);
+  abuser.disrupt_all(world.pool_server_addrs());
+  world.run_for(Duration::hours(1));
+  ASSERT_EQ(client.dns_queries(), 1u);
+  ASSERT_EQ(client.current_servers(), honest);
+
+  attack::ChronosAttack inject(
+      world.attacker(),
+      attack::ChronosAttackConfig{.resolver_addr = world.resolver_addr(),
+                                  .malicious_ntp = world.attacker_ntp_addrs()});
+  inject.inject_whitebox(world.resolver());
+  client.restart();
+  world.run_for(Duration::minutes(30));
+  EXPECT_EQ(client.dns_queries(), 2u);
+  EXPECT_EQ(client.current_servers(), world.attacker_ntp_addrs());
+}
+
+TEST(OpenntpdClient, RestartWhilePollsAreInFlight) {
+  // The dropped associations' answers still arrive after the restart.
+  WorldConfig wc;
+  wc.rate_limit_fraction = 0.0;
+  World world(wc);
+  auto& host = world.add_host(kVictimAddr);
+  host.clock.step(300.0, world.loop().now());
+  PoolClient client(*host.stack, host.clock, base_config(world),
+                    Daemon::kOpenntpd);
+  client.start();
+  world.run_for(Duration::millis(2010));  // first round sent at 2 s
+  client.restart();
+  world.run_for(Duration::minutes(10));
+  EXPECT_EQ(client.current_servers().size(), 4u);
+  EXPECT_NEAR(host.clock.offset(), 0.0, 1.0);
+}
+
 TEST(OpenntpdClient, ConstraintRejectsShiftedTime) {
   // §V-A1: the HTTPS Date-header option bounds acceptable offsets.
   World world;
@@ -166,9 +226,9 @@ TEST(OpenntpdClient, ConstraintRejectsShiftedTime) {
   inject.inject_whitebox(world.resolver());
 
   auto& host = world.add_host(kVictimAddr);
-  OpenntpdConfig oc;
-  oc.constraint_window = 60.0;  // HTTPS date is accurate to ~a minute
-  OpenntpdClient client(*host.stack, host.clock, base_config(world), oc);
+  // HTTPS date is accurate to ~a minute.
+  PoolClient client(*host.stack, host.clock, base_config(world),
+                    Daemon::kOpenntpd, /*constraint_window=*/60.0);
   client.start();
   world.run_for(Duration::minutes(20));
   EXPECT_NEAR(host.clock.offset(), 0.0, 1.0);  // -500 s was rejected
@@ -237,7 +297,8 @@ TEST(ClientDiscipline, PanicThresholdRefusesHugeRunTimeShift) {
   wc.attacker_time_shift = -2000.0;  // beyond ntpd's 1000 s panic limit
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  NtpdClient client(*host.stack, host.clock, base_config(world));
+  PoolClient client(*host.stack, host.clock, base_config(world),
+                    Daemon::kNtpd);
   client.start();
   world.run_for(Duration::minutes(10));
   ASSERT_NEAR(host.clock.offset(), 0.0, 1.0);

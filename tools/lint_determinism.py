@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Determinism lint for the simulation/campaign/obs/scenario sources.
+"""Determinism lint for the library sources under src/.
 
 The repo's core contract is that a campaign report is a pure function of
 its seed: byte-identical at any thread count, across resume, and across
-machines.  This lint walks the directories that own that contract
-(src/sim, src/campaign, src/obs, and src/scenario, where the population
-fleet's batch ordering lives) and rejects the constructs that break it:
+machines.  Every trial runs code from all of src/ (the protocol stacks,
+the attacks and the clients as well as the simulator, campaign and
+telemetry layers), so this lint walks all of it by default and rejects
+the constructs that break the contract:
 
   wallclock    reads of the host clock (std::chrono::*_clock::now, time(),
                gettimeofday, clock_gettime, localtime/gmtime).  Simulation
@@ -57,7 +58,7 @@ import re
 import sys
 from pathlib import Path
 
-DEFAULT_DIRS = ["src/sim", "src/campaign", "src/obs", "src/scenario"]
+DEFAULT_DIRS = ["src"]
 SUFFIXES = {".h", ".cpp"}
 
 ALLOW_RE = re.compile(r"det-lint:\s*allow\((?P<rule>[a-z-]+)\)\s*(?P<why>\S.*)?")
