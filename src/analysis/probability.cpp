@@ -31,11 +31,11 @@ int required_removals(int m) {
   return majority > to_minclock ? majority : to_minclock;
 }
 
-std::vector<TableIIIRow> table_iii(double p) {
+std::vector<TableIIIRow> table_iii() {
   std::vector<TableIIIRow> rows;
   for (int m = 1; m <= 9; ++m) {
     int n = required_removals(m);
-    rows.push_back(TableIIIRow{m, n, p1(n, p), p2(m, n, p)});
+    rows.push_back(TableIIIRow{m, n, p1(n), p2(m, n)});
   }
   return rows;
 }

@@ -43,9 +43,8 @@ struct TableIIIRow {
   double p2;
 };
 
-/// All rows of Table III (m = 1..9).
-[[nodiscard]] std::vector<TableIIIRow> table_iii(
-    double p = kMeasuredRateLimitFraction);
+/// All rows of Table III (m = 1..9) at p = kMeasuredRateLimitFraction.
+[[nodiscard]] std::vector<TableIIIRow> table_iii();
 
 /// Monte-Carlo estimate of P2(m, n): draw m servers, count rate limiters.
 [[nodiscard]] double monte_carlo_p2(int m, int n, double p, int trials,

@@ -1,8 +1,17 @@
 #include "attack/boot_time_attack.h"
 
+#include "dns/pool_zone.h"
 #include "obs/trace.h"
 
 namespace dnstime::attack {
+
+namespace {
+/// The pool A TTL is 150 s, so a fresh upstream query can be forced at
+/// most that often.
+constexpr sim::Duration kTriggerInterval = sim::Duration::seconds(150);
+/// Cadence of the success check.
+constexpr sim::Duration kCheckInterval = sim::Duration::seconds(10);
+}  // namespace
 
 BootTimeAttack::BootTimeAttack(net::NetStack& attacker, BootTimeConfig config)
     : stack_(attacker),
@@ -19,7 +28,7 @@ void BootTimeAttack::run(std::function<void(const AttackOutcome&)> done) {
     stack_.loop().schedule_after(sim::Duration::seconds(5),
                                  [this] { fire_trigger(); });
   }
-  stack_.loop().schedule_after(config_.check_interval, [this] { tick(); });
+  stack_.loop().schedule_after(kCheckInterval, [this] { tick(); });
 }
 
 void BootTimeAttack::stop() {
@@ -32,16 +41,16 @@ void BootTimeAttack::fire_trigger() {
   switch (config_.trigger) {
     case BootTimeConfig::Trigger::kOpenResolver:
       QueryTrigger::via_open_resolver(stack_, config_.poison.resolver_addr,
-                                      config_.poison.target_name);
+                                      dns::pool_name());
       break;
     case BootTimeConfig::Trigger::kSmtp:
       QueryTrigger::via_smtp(stack_, config_.smtp_host,
-                             config_.poison.target_name);
+                             dns::pool_name());
       break;
     case BootTimeConfig::Trigger::kNone:
       break;
   }
-  stack_.loop().schedule_after(config_.trigger_interval,
+  stack_.loop().schedule_after(kTriggerInterval,
                                [this] { fire_trigger(); });
 }
 
@@ -55,19 +64,19 @@ void BootTimeAttack::tick() {
     if (success_check_()) {
       finish(true);
     } else {
-      stack_.loop().schedule_after(config_.check_interval,
+      stack_.loop().schedule_after(kCheckInterval,
                                    [this] { tick(); });
     }
     return;
   }
   // Default: RD=0 probe of the (open) resolver for one of the glue names
   // we rewrote — we probe the poison target name itself.
-  poisoner_.verify_poisoned(config_.poison.target_name, [this](bool hit) {
+  poisoner_.verify_poisoned(dns::pool_name(), [this](bool hit) {
     if (finished_) return;
     if (hit) {
       finish(true);
     } else {
-      stack_.loop().schedule_after(config_.check_interval,
+      stack_.loop().schedule_after(kCheckInterval,
                                    [this] { tick(); });
     }
   });

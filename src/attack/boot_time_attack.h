@@ -24,10 +24,6 @@ struct BootTimeConfig {
   enum class Trigger { kNone, kOpenResolver, kSmtp };
   Trigger trigger = Trigger::kNone;
   Ipv4Addr smtp_host;  ///< for Trigger::kSmtp
-  /// The pool A TTL is 150 s, so a fresh upstream query can be forced at
-  /// most that often.
-  sim::Duration trigger_interval = sim::Duration::seconds(150);
-  sim::Duration check_interval = sim::Duration::seconds(10);
   sim::Duration deadline = sim::Duration::minutes(60);
 };
 

@@ -2,9 +2,22 @@
 
 #include "attack/icmp_mtu_attack.h"
 #include "common/log.h"
+#include "dns/pool_zone.h"
 #include "obs/trace.h"
 
 namespace dnstime::attack {
+
+namespace {
+/// Fragment replant cadence. Chosen just *past* the victim's reassembly
+/// timeout: a duplicate fragment planted while the old cache entry is
+/// still alive is a no-op that does not extend the entry's lifetime, so
+/// replanting early merely guarantees a coverage hole when the old entry
+/// expires. Replanting right after expiry keeps the window fresh with a
+/// hole of at most a second or two per cycle.
+constexpr sim::Duration kReplantInterval = sim::Duration::seconds(31);
+static_assert(kReplantInterval > net::kReassemblyTimeout,
+              "replant after the planted fragments expire, not before");
+}  // namespace
 
 CachePoisoner::CachePoisoner(net::NetStack& attacker, PoisonerConfig config)
     : stack_(attacker), config_(std::move(config)) {}
@@ -31,7 +44,7 @@ void CachePoisoner::fetch_template() {
   dns::DnsMessage query;
   query.id = stack_.rng().next_u16();
   query.rd = false;
-  query.questions = {dns::DnsQuestion{config_.target_name, dns::RrType::kA}};
+  query.questions = {dns::DnsQuestion{dns::pool_name(), dns::RrType::kA}};
   u16 port = stack_.ephemeral_port();
   auto got = std::make_shared<bool>(false);
   stack_.bind_udp(port, [this, got, port](const net::UdpEndpoint& from, u16,
@@ -67,7 +80,7 @@ void CachePoisoner::fetch_template() {
 void CachePoisoner::measure_ipid() {
   if (!running_) return;
   prober_ = std::make_unique<IpidProber>(stack_, config_.ns_addr,
-                                         config_.ipid);
+                                         IpidProber::Config{});
   prober_->run([this](const IpidPrediction& prediction) {
     prediction_ = prediction;
     if (!prediction.valid) {
@@ -84,7 +97,7 @@ void CachePoisoner::replant() {
   // Spray fragments covering the IPID window expected during the next
   // replant interval.
   const u64 planted_before = planted_;
-  sim::Time mid = stack_.now() + config_.replant_interval / 2;
+  sim::Time mid = stack_.now() + kReplantInterval / 2;
   for (u16 ipid : spray_window(prediction_, mid, config_.spray_width)) {
     net::Ipv4Packet frag = crafted_->fragment;
     frag.id = ipid;
@@ -101,11 +114,10 @@ void CachePoisoner::replant() {
   // Refresh the IPID estimate with a single probe each round (the paper's
   // low-volume loop), then replant before the reassembly timeout.
   replant_event_ = stack_.loop().schedule_after(
-      config_.replant_interval, [this] {
+      kReplantInterval, [this] {
         prober_ = std::make_unique<IpidProber>(
             stack_, config_.ns_addr,
-            IpidProber::Config{.probe_name = config_.ipid.probe_name,
-                               .probes = 1,
+            IpidProber::Config{.probes = 1,
                                .spacing = sim::Duration::millis(100)});
         prober_->run([this](const IpidPrediction& p) {
           if (p.valid) {

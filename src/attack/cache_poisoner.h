@@ -4,9 +4,9 @@
 // fetch a response template by querying the nameserver directly → craft
 // the spoofed second fragment → measure the IPID counter → plant a spray
 // of fragments in the victim resolver's defragmentation cache, replanting
-// every `replant_interval` (< the resolver OS's reassembly timeout) so a
-// spoofed fragment is always waiting when the victim's query finally
-// triggers the genuine response. "This approach requires a low attack
+// just past each reassembly timeout so a spoofed fragment is always
+// waiting when the victim's query for the pool domain (dns::kPoolDomain)
+// finally triggers the genuine response. "This approach requires a low attack
 // volume which can be completed with only one low bandwidth attacking
 // host."
 #pragma once
@@ -24,20 +24,9 @@ struct PoisonerConfig {
   Ipv4Addr resolver_addr;
   u16 mtu = 296;
   std::vector<Ipv4Addr> malicious_addrs;
-  /// Question used to fetch the template and to aim the poisoning at.
-  dns::DnsName target_name = dns::DnsName::from_string("pool.ntp.org");
-  /// Fragment replant cadence. Chosen just *past* the victim's reassembly
-  /// timeout (30 s Linux / 60-120 s Windows): a duplicate fragment planted
-  /// while the old cache entry is still alive is a no-op that does not
-  /// extend the entry's lifetime, so replanting early merely guarantees a
-  /// coverage hole when the old entry expires. Replanting right after
-  /// expiry keeps the window fresh with a hole of at most a second or two
-  /// per cycle.
-  sim::Duration replant_interval = sim::Duration::seconds(31);
   /// Candidate IPIDs per replant round (bounded by the victim's per-pair
   /// fragment-cache cap: 64 Linux / 100 Windows).
   std::size_t spray_width = 16;
-  IpidProber::Config ipid;
 };
 
 class CachePoisoner {

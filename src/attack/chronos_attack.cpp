@@ -1,8 +1,10 @@
 #include "attack/chronos_attack.h"
 
+#include "dns/pool_zone.h"
 #include "obs/trace.h"
 
 namespace dnstime::attack {
+
 
 ChronosAttack::ChronosAttack(net::NetStack& attacker,
                              ChronosAttackConfig config)
@@ -23,14 +25,16 @@ int ChronosAttack::max_tolerable_honest_rounds(std::size_t malicious_count) {
 }
 
 void ChronosAttack::inject_whitebox(dns::Resolver& resolver) const {
+  // > 24 h, so the cache outlives the pool-generation window.
+  constexpr u32 kRecordTtl = 25 * 3600;
   DNSTIME_TRACE_INSTANT(stack_.now().ns(), "attack", "poison-injected",
                         static_cast<u64>(config_.malicious_ntp.size()));
   std::vector<dns::ResourceRecord> rrset;
   rrset.reserve(config_.malicious_ntp.size());
   for (Ipv4Addr addr : config_.malicious_ntp) {
-    rrset.push_back(dns::make_a(config_.pool_name, addr, config_.record_ttl));
+    rrset.push_back(dns::make_a(dns::pool_name(), addr, kRecordTtl));
   }
-  resolver.cache().insert(config_.pool_name, dns::RrType::kA,
+  resolver.cache().insert(dns::pool_name(), dns::RrType::kA,
                           std::move(rrset), stack_.now());
 }
 

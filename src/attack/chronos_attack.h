@@ -19,8 +19,6 @@ struct ChronosAttackConfig {
   /// Attacker NTP servers to flood the pool with; 89 is the maximum that
   /// fits one unfragmented UDP response.
   std::vector<Ipv4Addr> malicious_ntp;
-  u32 record_ttl = 25 * 3600;  ///< > 24 h so the cache outlives the window
-  dns::DnsName pool_name = dns::DnsName::from_string("pool.ntp.org");
 };
 
 class ChronosAttack {

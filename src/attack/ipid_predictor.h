@@ -31,8 +31,8 @@ struct IpidPrediction {
 
 class IpidProber {
  public:
+  /// Probes query the pool domain (dns::kPoolDomain).
   struct Config {
-    dns::DnsName probe_name = dns::DnsName::from_string("pool.ntp.org");
     int probes = 5;
     sim::Duration spacing = sim::Duration::millis(500);
   };

@@ -1,12 +1,21 @@
 #include "attack/ratelimit_abuser.h"
 
 #include "ntp/packet.h"
+#include "ntp/rate_limit.h"
 
 namespace dnstime::attack {
 
-RateLimitAbuser::RateLimitAbuser(net::NetStack& attacker, Ipv4Addr victim,
-                                 AbuserConfig config)
-    : stack_(attacker), victim_(victim), config_(config) {}
+namespace {
+/// Inter-packet spacing of the spoofed query stream per target server.
+constexpr sim::Duration kFloodSpacing = sim::Duration::millis(400);
+static_assert(kFloodSpacing < ntp::kMinGap,
+              "the flood must beat the server's `discard minimum` gap, so "
+              "every packet sourced from the victim — including its genuine "
+              "polls — is refused unconditionally");
+}  // namespace
+
+RateLimitAbuser::RateLimitAbuser(net::NetStack& attacker, Ipv4Addr victim)
+    : stack_(attacker), victim_(victim) {}
 
 RateLimitAbuser::~RateLimitAbuser() { stop(); }
 
@@ -18,13 +27,6 @@ void RateLimitAbuser::disrupt(Ipv4Addr server) {
 
 void RateLimitAbuser::disrupt_all(const std::vector<Ipv4Addr>& servers) {
   for (Ipv4Addr s : servers) disrupt(s);
-}
-
-void RateLimitAbuser::relent(Ipv4Addr server) {
-  auto it = targets_.find(server);
-  if (it == targets_.end()) return;
-  it->second.cancel();
-  targets_.erase(it);
 }
 
 void RateLimitAbuser::stop() {
@@ -53,7 +55,7 @@ void RateLimitAbuser::flood_tick(Ipv4Addr server) {
   spoofed_++;
 
   it->second = stack_.loop().schedule_after(
-      config_.spacing, [this, server] { flood_tick(server); });
+      kFloodSpacing, [this, server] { flood_tick(server); });
 }
 
 }  // namespace dnstime::attack

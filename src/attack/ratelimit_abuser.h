@@ -11,18 +11,9 @@
 
 namespace dnstime::attack {
 
-struct AbuserConfig {
-  /// Inter-packet spacing of the spoofed query stream per target server.
-  /// Must stay below the server's `discard minimum` gap so every packet
-  /// sourced from the victim — including the victim's genuine polls —
-  /// is refused unconditionally.
-  sim::Duration spacing = sim::Duration::millis(400);
-};
-
 class RateLimitAbuser {
  public:
-  RateLimitAbuser(net::NetStack& attacker, Ipv4Addr victim,
-                  AbuserConfig config = {});
+  RateLimitAbuser(net::NetStack& attacker, Ipv4Addr victim);
   ~RateLimitAbuser();
 
   RateLimitAbuser(const RateLimitAbuser&) = delete;
@@ -31,8 +22,7 @@ class RateLimitAbuser {
   /// Start/extend the spoofed stream against `server`. Idempotent.
   void disrupt(Ipv4Addr server);
   void disrupt_all(const std::vector<Ipv4Addr>& servers);
-  /// Stop flooding one server / everything.
-  void relent(Ipv4Addr server);
+  /// Stop flooding every server.
   void stop();
 
   [[nodiscard]] u64 packets_spoofed() const { return spoofed_; }
@@ -43,7 +33,6 @@ class RateLimitAbuser {
 
   net::NetStack& stack_;
   Ipv4Addr victim_;
-  AbuserConfig config_;
   std::unordered_map<Ipv4Addr, sim::EventHandle> targets_;
   u64 spoofed_ = 0;
 };

@@ -5,10 +5,17 @@
 
 namespace dnstime::attack {
 
+namespace {
+/// Cadence of refid / config-interface upstream discovery.
+constexpr sim::Duration kDiscoveryInterval = sim::Duration::seconds(32);
+/// Cadence of the success check.
+constexpr sim::Duration kCheckInterval = sim::Duration::seconds(30);
+}  // namespace
+
 RunTimeAttack::RunTimeAttack(net::NetStack& attacker, RunTimeConfig config)
     : stack_(attacker),
       config_(std::move(config)),
-      abuser_(attacker, config_.victim, config_.abuse) {}
+      abuser_(attacker, config_.victim) {}
 
 void RunTimeAttack::run(std::function<bool()> success_check,
                         std::function<void(const AttackOutcome&)> done) {
@@ -19,7 +26,7 @@ void RunTimeAttack::run(std::function<bool()> success_check,
   // honest NTP and the victim coasts onto attacker time.
   DNSTIME_TRACE_BEGIN(started_.ns(), "attack", "shift");
   discover();
-  stack_.loop().schedule_after(config_.check_interval, [this] { tick(); });
+  stack_.loop().schedule_after(kCheckInterval, [this] { tick(); });
 }
 
 void RunTimeAttack::stop() {
@@ -41,7 +48,7 @@ void RunTimeAttack::discover() {
       query_config();
       break;
   }
-  stack_.loop().schedule_after(config_.discovery_interval,
+  stack_.loop().schedule_after(kDiscoveryInterval,
                                [this] { discover(); });
 }
 
@@ -99,7 +106,7 @@ void RunTimeAttack::tick() {
     finish(false);
     return;
   }
-  stack_.loop().schedule_after(config_.check_interval, [this] { tick(); });
+  stack_.loop().schedule_after(kCheckInterval, [this] { tick(); });
 }
 
 void RunTimeAttack::finish(bool success) {

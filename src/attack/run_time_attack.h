@@ -28,9 +28,6 @@ struct RunTimeConfig {
   std::vector<Ipv4Addr> known_servers;
   /// The victim NTP client host (spoof source for floods; refid queries).
   Ipv4Addr victim;
-  AbuserConfig abuse;
-  sim::Duration discovery_interval = sim::Duration::seconds(32);
-  sim::Duration check_interval = sim::Duration::seconds(30);
   sim::Duration deadline = sim::Duration::hours(4);
 };
 
@@ -38,7 +35,7 @@ class RunTimeAttack {
  public:
   RunTimeAttack(net::NetStack& attacker, RunTimeConfig config);
 
-  /// `success_check` is polled every check_interval.
+  /// `success_check` is polled every 30 s of simulated time.
   void run(std::function<bool()> success_check,
            std::function<void(const AttackOutcome&)> done);
   void stop();

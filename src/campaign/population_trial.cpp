@@ -2,7 +2,7 @@
 // scenario::ClientPopulation instead of a single victim host.
 //
 // Both trials report the fleet-shift metric: TrialResult::metric is the
-// fraction of the fleet shifted past the scenario's success_shift (or the
+// fraction of the fleet shifted past kSuccessShift (or the
 // herd-exhaustion fraction for the rate-limit scenario), and
 // clock_shift_s is the fleet's mean shift. No new report fields — the
 // single-victim report schema (and its byte-identical baselines) are
@@ -36,13 +36,13 @@ TrialResult shared_resolver_trial(const ScenarioSpec& spec,
   World world(wc);
 
   PopulationConfig pc;
-  pc.clients = spec.population_clients;
+  pc.clients = kPopulationClients;
   pc.seed = ctx.seed;
   ClientPopulation pop(world, pc);
 
   // Warm-up: the fleet resolves honestly and synchronises to true time
   // (one full poll interval plus DNS/exchange slack).
-  world.run_for(Duration::seconds(static_cast<i64>(pc.poll_s) + 30));
+  world.run_for(Duration::seconds(i64{scenario::kPollSeconds} + 30));
 
   const sim::Time attack_start = world.loop().now();
   attack::CachePoisoner poisoner(world.attacker(),
@@ -52,10 +52,10 @@ TrialResult shared_resolver_trial(const ScenarioSpec& spec,
   // Migration takes two TTL rollovers (hijack the delegation, then serve
   // attacker A records) plus re-poll slack; run in slices and stop as
   // soon as a fleet majority has shifted.
-  const double threshold = spec.stop.success_shift;
+  const double threshold = kSuccessShift;
   const Duration budget =
       Duration::seconds(2 * static_cast<i64>(wc.pool_a_ttl) +
-                        3 * static_cast<i64>(pc.poll_s)) +
+                        3 * i64{scenario::kPollSeconds}) +
       spec.stop.settle;
   Duration spent;
   const Duration slice = Duration::seconds(10);
@@ -82,7 +82,7 @@ TrialResult ratelimit_herd_trial(const ScenarioSpec& spec,
   World world(wc);
 
   PopulationConfig pc;
-  pc.clients = spec.population_clients;
+  pc.clients = kPopulationClients;
   pc.seed = ctx.seed;
   // Few gateways against a small pool: the per-source token buckets see
   // the herd, not a diluted trickle.
@@ -91,7 +91,7 @@ TrialResult ratelimit_herd_trial(const ScenarioSpec& spec,
   ClientPopulation pop(world, pc);
 
   const sim::Time start = world.loop().now();
-  world.run_for(Duration::seconds(static_cast<i64>(pc.poll_s) * 5));
+  world.run_for(Duration::seconds(i64{scenario::kPollSeconds} * 5));
 
   const ClientPopulation::Metrics& m = pop.metrics();
   const u64 starved = m.kod_polls + m.timeout_polls;
@@ -106,24 +106,22 @@ TrialResult ratelimit_herd_trial(const ScenarioSpec& spec,
 
 }  // namespace
 
-ScenarioSpec population_shared_resolver_scenario(u32 clients) {
+ScenarioSpec population_shared_resolver_scenario() {
   ScenarioSpec spec;
-  spec.name =
-      "population/shared-resolver-" + std::to_string(clients / 1000) + "k";
+  spec.name = "population/shared-resolver-" +
+              std::to_string(kPopulationClients / 1000) + "k";
   spec.attack = AttackKind::kCustom;
-  spec.population_clients = clients;
   spec.stop.deadline = sim::Duration::minutes(15);
   spec.stop.settle = sim::Duration::minutes(2);
   spec.trial_fn = shared_resolver_trial;
   return spec;
 }
 
-ScenarioSpec population_ratelimit_herd_scenario(u32 clients) {
+ScenarioSpec population_ratelimit_herd_scenario() {
   ScenarioSpec spec;
-  spec.name =
-      "population/ratelimit-herd-" + std::to_string(clients / 1000) + "k";
+  spec.name = "population/ratelimit-herd-" +
+              std::to_string(kPopulationClients / 1000) + "k";
   spec.attack = AttackKind::kCustom;
-  spec.population_clients = clients;
   spec.world.pool_size = 4;
   spec.world.rate_limit_fraction = 1.0;
   spec.world.kod_fraction = 1.0;

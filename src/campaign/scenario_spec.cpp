@@ -110,10 +110,9 @@ std::vector<ScenarioSpec> mtu_sweep(const std::vector<u16>& mtus) {
   return out;
 }
 
-std::vector<ScenarioSpec> pool_size_sweep(
-    const std::vector<std::size_t>& sizes) {
+std::vector<ScenarioSpec> pool_size_sweep() {
   std::vector<ScenarioSpec> out;
-  for (std::size_t n : sizes) {
+  for (std::size_t n : {8, 16, 32, 64}) {
     ScenarioSpec spec = boot_time_scenario();
     spec.name = "sweep/pool-" + std::to_string(n);
     spec.world.pool_size = n;

@@ -43,16 +43,18 @@ enum class AttackKind {
 [[nodiscard]] const char* to_string(ClientKind k);
 [[nodiscard]] const char* to_string(AttackKind k);
 
-/// When a trial gives up and what counts as success.
+/// A victim clock offset at or below this many seconds is a success (the
+/// canonical lab shift is -500 s; -400 leaves slew margin). Population
+/// trials count the clients shifted this far.
+inline constexpr double kSuccessShift = -400.0;
+
+/// When a trial gives up.
 struct StopCondition {
   /// Attack deadline on the simulation clock, measured from attack start.
   sim::Duration deadline = sim::Duration::hours(6);
   /// Extra simulated time after the deadline for in-flight effects (e.g.
   /// the final clock step) to land.
   sim::Duration settle = sim::Duration::minutes(5);
-  /// A victim clock offset at or below this many seconds is a success
-  /// (the canonical lab shift is -500 s; -400 leaves slew margin).
-  double success_shift = -400.0;
   /// Run-time recipe, openntpd victims only: restart the daemon this long
   /// after the attack starts, as an operator or stall watchdog would, so
   /// its one boot-time lookup hits the poisoned cache. A restart on any
@@ -90,10 +92,6 @@ struct ScenarioSpec {
   /// Chronos only: honest hourly rounds completed before the poisoning
   /// lands (the paper's window is N <= 11).
   int chronos_honest_rounds = 6;
-  /// population/* only: fleet size hosted by the trial's ClientPopulation
-  /// (0 for the single-victim scenarios). Specs are not serialised into
-  /// reports, so this does not touch the report schema.
-  u32 population_clients = 0;
   /// kCustom only: the trial body. Must be thread-safe (it is invoked
   /// concurrently for different trials) and deterministic in ctx.seed.
   std::function<TrialResult(const ScenarioSpec&, const TrialContext&)>
@@ -141,21 +139,23 @@ class ScenarioRegistry {
 [[nodiscard]] ScenarioSpec forensics_frag_filter_scenario();
 
 // --- population scenarios ---------------------------------------------------
-// Fleet-scale worlds on scenario::ClientPopulation (kCustom trials). The
-// trial metric is the fraction of the fleet shifted past
-// stop.success_shift; clock_shift_s reports the fleet's mean shift.
+// Fleet-scale worlds of kPopulationClients clients on
+// scenario::ClientPopulation (kCustom trials). The trial metric is the
+// fraction of the fleet shifted past kSuccessShift; clock_shift_s reports
+// the fleet's mean shift.
 
-/// §VIII-B3 at fleet scale: `clients` NTP clients behind one shared
-/// recursive resolver. The trial poisons the resolver's delegation once
-/// and measures how far the shift migrates through the fleet as the
-/// clients' DNS answers expire.
-[[nodiscard]] ScenarioSpec population_shared_resolver_scenario(
-    u32 clients = 100'000);
+/// Clients in every population/* trial's fleet.
+inline constexpr u32 kPopulationClients = 100'000;
+
+/// §VIII-B3 at fleet scale: the fleet sits behind one shared recursive
+/// resolver. The trial poisons the resolver's delegation once and measures
+/// how far the shift migrates through the fleet as the clients' DNS
+/// answers expire.
+[[nodiscard]] ScenarioSpec population_shared_resolver_scenario();
 /// §VII-A herd effect: the whole fleet polls a small, fully rate-limiting
 /// pool. The metric is the fraction of client-polls answered by KoD or
 /// silence; success = the herd actually tripped the limiters.
-[[nodiscard]] ScenarioSpec population_ratelimit_herd_scenario(
-    u32 clients = 100'000);
+[[nodiscard]] ScenarioSpec population_ratelimit_herd_scenario();
 
 // --- parameter sweeps -------------------------------------------------------
 // Each returns one spec per value, named "<stem>/<value>". Sweeps use the
@@ -163,8 +163,8 @@ class ScenarioRegistry {
 
 [[nodiscard]] std::vector<ScenarioSpec> mtu_sweep(
     const std::vector<u16>& mtus = {296, 552, 1280, 1500});
-[[nodiscard]] std::vector<ScenarioSpec> pool_size_sweep(
-    const std::vector<std::size_t>& sizes = {8, 16, 32, 64});
+/// Pool sizes 8, 16, 32 and 64.
+[[nodiscard]] std::vector<ScenarioSpec> pool_size_sweep();
 /// Run-time recipe: the rate-limit fraction decides how many upstreams the
 /// flood can silence, which is what the run-time attack depends on.
 [[nodiscard]] std::vector<ScenarioSpec> rate_limit_sweep(

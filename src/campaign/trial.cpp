@@ -35,8 +35,7 @@ void poison_delegation(World& world, attack::CachePoisoner& poisoner) {
   poisoner.start();
   world.run_for(Duration::seconds(20));
   attack::QueryTrigger::via_open_resolver(
-      world.attacker(), world.resolver_addr(),
-      dns::DnsName::from_string("pool.ntp.org"));
+      world.attacker(), world.resolver_addr(), dns::pool_name());
   world.run_for(Duration::seconds(10));
   DNSTIME_TRACE_END(world.loop().now().ns(), "trial", "poison-delegation");
 }
@@ -137,7 +136,7 @@ TrialResult run_time_trial(const ScenarioSpec& spec, TrialResult result) {
   rc.deadline = spec.stop.deadline;
   attack::RunTimeAttack attack(world.attacker(), rc);
   std::optional<attack::AttackOutcome> outcome;
-  attack.run([&] { return host.clock.offset() <= spec.stop.success_shift; },
+  attack.run([&] { return host.clock.offset() <= kSuccessShift; },
              [&](const attack::AttackOutcome& o) { outcome = o; });
 
   if (spec.stop.restart_after) {
@@ -202,7 +201,7 @@ TrialResult boot_time_trial(const ScenarioSpec& spec, TrialResult result) {
   world.run_for(spec.stop.settle);
   DNSTIME_TRACE_END(world.loop().now().ns(), "trial", "victim-boot");
   result.clock_shift_s = host.clock.offset();
-  result.success = result.clock_shift_s <= spec.stop.success_shift;
+  result.success = result.clock_shift_s <= kSuccessShift;
   return result;
 }
 
@@ -238,11 +237,11 @@ TrialResult chronos_trial(const ScenarioSpec& spec, TrialResult result) {
   DNSTIME_PROV_EVENT(phase(world.loop().now().ns(), "shift"));
   Duration spent = run_until(
       world, spec.stop.deadline + spec.stop.settle, Duration::hours(1),
-      [&] { return victim.clock.offset() <= spec.stop.success_shift; });
+      [&] { return victim.clock.offset() <= kSuccessShift; });
   DNSTIME_TRACE_END(world.loop().now().ns(), "trial", "shift");
 
   result.clock_shift_s = victim.clock.offset();
-  result.success = result.clock_shift_s <= spec.stop.success_shift;
+  result.success = result.clock_shift_s <= kSuccessShift;
   result.duration_s = result.success ? spent.to_seconds()
                                      : spec.stop.deadline.to_seconds();
   // The §VI-C metric: what fraction of the final pool does the attacker

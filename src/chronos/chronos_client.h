@@ -16,18 +16,14 @@
 
 namespace dnstime::chronos {
 
-struct ChronosClientConfig {
-  ChronosParams params;
-  PoolBuilderConfig pool;
-  /// Update cadence once the pool has at least `sample_size` servers.
-  sim::Duration update_interval = sim::Duration::seconds(64);
-};
+/// Update cadence; an update is skipped while the pool holds fewer than
+/// kSampleSize servers.
+inline constexpr sim::Duration kUpdateInterval = sim::Duration::seconds(64);
 
 class ChronosClient : public ntp::NtpClientBase {
  public:
   ChronosClient(net::NetStack& stack, ntp::SystemClock& clock,
-                ntp::ClientBaseConfig base_config,
-                ChronosClientConfig config = {});
+                ntp::ClientBaseConfig base_config);
 
   void start() override;
   [[nodiscard]] std::string name() const override { return "chronos"; }
@@ -44,7 +40,6 @@ class ChronosClient : public ntp::NtpClientBase {
   void update_once(int retries_left);
   void schedule_next();
 
-  ChronosClientConfig config_chronos_;
   PoolBuilder builder_;
   u64 accepted_ = 0;
   u64 rejected_ = 0;

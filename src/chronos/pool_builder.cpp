@@ -2,20 +2,18 @@
 
 #include <algorithm>
 
+#include "dns/pool_zone.h"
+
 namespace dnstime::chronos {
 
-PoolBuilder::PoolBuilder(net::NetStack& stack, Ipv4Addr resolver,
-                         PoolBuilderConfig config)
-    : stack_(stack), stub_(stack, resolver), config_(std::move(config)) {}
+PoolBuilder::PoolBuilder(net::NetStack& stack, Ipv4Addr resolver)
+    : stack_(stack), stub_(stack, resolver) {}
 
-void PoolBuilder::start(std::function<void(int)> on_query_done) {
-  on_query_done_ = std::move(on_query_done);
-  query_once();
-}
+void PoolBuilder::start() { query_once(); }
 
 void PoolBuilder::query_once() {
   stub_.resolve(
-      dns::DnsName::from_string(config_.pool_domain), dns::RrType::kA,
+      dns::pool_name(), dns::RrType::kA,
       [this](const std::vector<dns::ResourceRecord>& answers) {
         // §VI-B: the union is taken with no per-response checks — every A
         // record is admitted regardless of response size or TTL.
@@ -25,10 +23,9 @@ void PoolBuilder::query_once() {
           }
         }
         queries_done_++;
-        if (on_query_done_) on_query_done_(queries_done_);
-        if (queries_done_ < config_.total_queries) {
+        if (queries_done_ < kTotalQueries) {
           // §VI-A: strictly periodic — the timing an attacker can predict.
-          stack_.loop().schedule_after(config_.query_interval,
+          stack_.loop().schedule_after(kQueryInterval,
                                        [this] { query_once(); });
         }
       });

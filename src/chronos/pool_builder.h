@@ -11,7 +11,6 @@
 //    the pool and pins every later query to the resolver's cache.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "dns/resolver.h"
@@ -19,25 +18,21 @@
 
 namespace dnstime::chronos {
 
-struct PoolBuilderConfig {
-  std::string pool_domain = "pool.ntp.org";
-  int total_queries = 24;
-  sim::Duration query_interval = sim::Duration::hours(1);
-};
+/// One query of the pool domain every kQueryInterval, kTotalQueries times.
+inline constexpr int kTotalQueries = 24;
+inline constexpr sim::Duration kQueryInterval = sim::Duration::hours(1);
 
 class PoolBuilder {
  public:
-  PoolBuilder(net::NetStack& stack, Ipv4Addr resolver,
-              PoolBuilderConfig config = {});
+  PoolBuilder(net::NetStack& stack, Ipv4Addr resolver);
 
-  /// Begin the 24-hour collection; `on_query_done(n)` fires after each of
-  /// the queries with the current pool size (tests/attacks hook this).
-  void start(std::function<void(int)> on_query_done = nullptr);
+  /// Begin the 24-hour collection.
+  void start();
 
   [[nodiscard]] const std::vector<Ipv4Addr>& pool() const { return pool_; }
   [[nodiscard]] int queries_done() const { return queries_done_; }
   [[nodiscard]] bool finished() const {
-    return queries_done_ >= config_.total_queries;
+    return queries_done_ >= kTotalQueries;
   }
 
  private:
@@ -45,10 +40,8 @@ class PoolBuilder {
 
   net::NetStack& stack_;
   dns::StubResolver stub_;
-  PoolBuilderConfig config_;
   std::vector<Ipv4Addr> pool_;
   int queries_done_ = 0;
-  std::function<void(int)> on_query_done_;
 };
 
 }  // namespace dnstime::chronos

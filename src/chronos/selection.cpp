@@ -28,20 +28,19 @@ double avg(const std::vector<double>& v) {
 
 }  // namespace
 
-SelectionResult chronos_trim_select(std::vector<double> offsets,
-                                    const ChronosParams& params) {
+SelectionResult chronos_trim_select(std::vector<double> offsets) {
   SelectionResult result;
   if (offsets.empty()) return result;
   Trimmed t = trim_thirds(std::move(offsets));
   if (t.surviving.empty()) return result;
 
   double spread = t.surviving.back() - t.surviving.front();
-  if (spread > params.omega) {
+  if (spread > kOmega) {
     result.agreement_failed = true;
     return result;
   }
   double offset = avg(t.surviving);
-  if (offset > params.err_bound || offset < -params.err_bound) {
+  if (offset > kErrBound || offset < -kErrBound) {
     result.drift_check_failed = true;
     return result;
   }
@@ -50,14 +49,13 @@ SelectionResult chronos_trim_select(std::vector<double> offsets,
   return result;
 }
 
-SelectionResult chronos_panic_select(std::vector<double> offsets,
-                                     const ChronosParams& params) {
+SelectionResult chronos_panic_select(std::vector<double> offsets) {
   SelectionResult result;
   if (offsets.empty()) return result;
   Trimmed t = trim_thirds(std::move(offsets));
   if (t.surviving.empty()) return result;
   double spread = t.surviving.back() - t.surviving.front();
-  if (spread > params.omega) {
+  if (spread > kOmega) {
     // Even the full pool disagrees beyond omega: attacker controls between
     // 1/3 and 2/3 — Chronos refuses to update (its availability cost).
     result.agreement_failed = true;

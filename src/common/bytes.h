@@ -28,11 +28,11 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Sequential big-endian writer appending to a pooled buffer.
+/// Sequential big-endian writer appending to a pooled buffer that keeps
+/// kPacketHeadroom bytes free in front for the headers prepended later.
 class ByteWriter {
  public:
-  explicit ByteWriter(std::size_t headroom = kPacketHeadroom)
-      : headroom_(headroom) {}
+  ByteWriter() = default;
   ByteWriter(const ByteWriter&) = delete;
   ByteWriter& operator=(const ByteWriter&) = delete;
 
@@ -108,7 +108,7 @@ class ByteWriter {
     std::size_t used = size();
     std::size_t cap = used ? used * 2 : 160;
     if (cap < used + need) cap = used + need;
-    PacketBuf bigger = PacketBuf::uninitialized(cap, headroom_);
+    PacketBuf bigger = PacketBuf::uninitialized(cap, kPacketHeadroom);
     bigger.set_origin(buf_.origin());  // regrowing must keep provenance
     if (used != 0) std::memcpy(bigger.data(), buf_.data(), used);
     buf_ = std::move(bigger);
@@ -121,7 +121,6 @@ class ByteWriter {
   PacketBuf buf_;
   u8* cur_ = nullptr;
   u8* cap_end_ = nullptr;
-  std::size_t headroom_;
 };
 
 /// Sequential big-endian reader over a borrowed buffer.

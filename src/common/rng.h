@@ -51,15 +51,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   [[nodiscard]] bool chance(double p) { return uniform01() < p; }
 
-  /// Normal deviate (used for latency jitter in the timing side channel).
-  [[nodiscard]] double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-  /// Exponential deviate with the given mean.
-  [[nodiscard]] double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
   /// Sample k distinct indices from [0, n) (k <= n), order randomised.
   [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n,
                                                         std::size_t k) {

@@ -33,53 +33,13 @@ namespace dnstime {
   return (v[mid - 1] + hi) / 2.0;
 }
 
-[[nodiscard]] inline double stddev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  double m = mean(v);
-  double ss = 0.0;
-  for (double x : v) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(v.size() - 1));
-}
-
-/// Simple least-squares slope of y over x; the IPID predictor fits the
-/// global IPID counter's increment rate with this.
-[[nodiscard]] inline double linear_slope(const std::vector<double>& x,
-                                         const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return 0.0;
-  double mx = mean(x), my = mean(y);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    num += (x[i] - mx) * (y[i] - my);
-    den += (x[i] - mx) * (x[i] - mx);
-  }
-  return den == 0.0 ? 0.0 : num / den;
-}
-
-/// Unbiased sample variance (the square of stddev()); 0 for n < 2.
+/// Unbiased sample variance; 0 for n < 2.
 [[nodiscard]] inline double variance(const std::vector<double>& v) {
   if (v.size() < 2) return 0.0;
   double m = mean(v);
   double ss = 0.0;
   for (double x : v) ss += (x - m) * (x - m);
   return ss / static_cast<double>(v.size() - 1);
-}
-
-/// Variance of two samples pooled under an equal-variance assumption:
-/// ((n1-1)s1^2 + (n2-1)s2^2) / (n1 + n2 - 2). 0 when either sample is
-/// empty or there are fewer than two total degrees of freedom — pooling
-/// is undefined there, and the unsigned n-1 must never wrap.
-[[nodiscard]] inline double pooled_variance(std::size_t n1, double var1,
-                                            std::size_t n2, double var2) {
-  if (n1 == 0 || n2 == 0 || n1 + n2 < 3) return 0.0;
-  return (static_cast<double>(n1 - 1) * var1 +
-          static_cast<double>(n2 - 1) * var2) /
-         static_cast<double>(n1 + n2 - 2);
-}
-
-/// Standard normal CDF, Phi(z). erfc-based: accurate in the far tails,
-/// where 1 - erf(z) would cancel to 0.
-[[nodiscard]] inline double normal_cdf(double z) {
-  return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }
 
 /// Two-sided p-value for a standard-normal test statistic.
@@ -94,13 +54,17 @@ struct WilsonInterval {
   double high = 1.0;
 };
 
-/// Wilson interval for `successes` out of `trials` at critical value `z`
-/// (default 1.96 ~ 95%). Preferred over the normal approximation for the
-/// small trial counts campaign progress reports mid-run: it never leaves
-/// [0, 1] and stays meaningful at 0/n and n/n. Degenerate contract:
-/// trials == 0 (or successes > trials) -> the vacuous {0, 1}.
-[[nodiscard]] inline WilsonInterval wilson_interval(u64 successes, u64 trials,
-                                                    double z = 1.96) {
+/// Critical value of the Wilson interval: 1.96 ~ 95% confidence.
+inline constexpr double kWilsonZ = 1.96;
+
+/// Wilson interval for `successes` out of `trials` at critical value
+/// kWilsonZ. Preferred over the normal approximation for the small trial
+/// counts campaign progress reports mid-run: it never leaves [0, 1] and
+/// stays meaningful at 0/n and n/n. Degenerate contract: trials == 0 (or
+/// successes > trials) -> the vacuous {0, 1}.
+[[nodiscard]] inline WilsonInterval wilson_interval(u64 successes,
+                                                    u64 trials) {
+  constexpr double z = kWilsonZ;
   WilsonInterval w;
   // Explicitly the vacuous [0, 1] — not a confident [0, 0] — so a progress
   // stream queried before the first trial completes renders "no information

@@ -16,6 +16,9 @@
 
 namespace dnstime::dns {
 
+/// Cached RRsets live at most a week, whatever TTL they carry.
+inline constexpr u32 kMaxCacheTtl = 7 * 86400;
+
 class DnsCache {
  public:
   /// Insert an RRset; lifetime = min TTL across records, capped by
@@ -24,7 +27,7 @@ class DnsCache {
   /// poisoned entry remembers which spoofed packet planted it.
   void insert(const DnsName& name, RrType type,
               std::vector<ResourceRecord> rrset, sim::Time now,
-              u32 max_ttl = 7 * 86400, Origin origin = {});
+              u32 max_ttl = kMaxCacheTtl, Origin origin = {});
 
   /// Fetch a live RRset; returned records carry the *remaining* TTL (this
   /// is what makes the Fig. 6 measurement possible from outside).

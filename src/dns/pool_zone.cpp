@@ -2,6 +2,18 @@
 
 namespace dnstime::dns {
 
+namespace {
+/// A records per answer (§VI: "4 IP-addresses per DNS query").
+constexpr std::size_t kAddressesPerResponse = 4;
+/// TTL of the NS and glue records: delegations are long-lived.
+constexpr u32 kNsTtl = 86400;
+}  // namespace
+
+const DnsName& pool_name() {
+  static const DnsName name = DnsName::from_string(std::string(kPoolDomain));
+  return name;
+}
+
 PoolZone::PoolZone(DnsName apex, std::vector<Ipv4Addr> servers, Config config)
     : apex_(std::move(apex)),
       servers_(std::move(servers)),
@@ -11,7 +23,7 @@ bool PoolZone::handle(const DnsQuestion& q, DnsMessage& response) {
   if (!q.name.is_subdomain_of(apex_)) return false;
   fill(q, response, rotation_);
   if (q.type == RrType::kA && !servers_.empty()) {
-    rotation_ = (rotation_ + config_.addresses_per_response) % servers_.size();
+    rotation_ = (rotation_ + kAddressesPerResponse) % servers_.size();
   }
   return true;
 }
@@ -30,7 +42,7 @@ void PoolZone::fill(const DnsQuestion& q, DnsMessage& response,
   // Answers: next 4 pool addresses, round-robin.
   if (q.type == RrType::kA && !servers_.empty()) {
     std::vector<ResourceRecord> answers;
-    for (std::size_t i = 0; i < config_.addresses_per_response; ++i) {
+    for (std::size_t i = 0; i < kAddressesPerResponse; ++i) {
       Ipv4Addr addr = servers_[(rotation + i) % servers_.size()];
       answers.push_back(make_a(q.name, addr, config_.a_ttl));
     }
@@ -38,7 +50,7 @@ void PoolZone::fill(const DnsQuestion& q, DnsMessage& response,
   } else if (q.type == RrType::kNs) {
     std::vector<ResourceRecord> ns;
     for (const auto& [name, _] : config_.nameservers) {
-      ns.push_back(make_ns(apex_, name, config_.ns_ttl));
+      ns.push_back(make_ns(apex_, name, kNsTtl));
     }
     emit_rrset(response.answers, ns, false, 0);
   }
@@ -54,13 +66,13 @@ void PoolZone::fill(const DnsQuestion& q, DnsMessage& response,
   if (q.type != RrType::kNs) {
     std::vector<ResourceRecord> ns;
     for (const auto& [name, _] : config_.nameservers) {
-      ns.push_back(make_ns(apex_, name, config_.ns_ttl));
+      ns.push_back(make_ns(apex_, name, kNsTtl));
     }
     emit_rrset(response.authority, ns, false, 0);
   }
   std::vector<ResourceRecord> glue;
   for (const auto& [name, addr] : config_.nameservers) {
-    glue.push_back(make_a(name, addr, config_.ns_ttl));
+    glue.push_back(make_a(name, addr, kNsTtl));
   }
   response.additional.insert(response.additional.end(), glue.begin(),
                              glue.end());

@@ -14,18 +14,23 @@
 //    nameservers supports DNSSEC).
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "dns/nameserver.h"
 
 namespace dnstime::dns {
 
+/// The NTP pool's domain. The client models, the population fleet, Chronos,
+/// the attacks and the World's zones all use this one name.
+inline constexpr std::string_view kPoolDomain = "pool.ntp.org";
+/// kPoolDomain as a DnsName.
+[[nodiscard]] const DnsName& pool_name();
+
 class PoolZone : public ZoneAuthority {
  public:
   struct Config {
     u32 a_ttl = 150;       ///< paper §IV-A: TTL of pool A records
-    u32 ns_ttl = 86400;    ///< delegation records are long-lived
-    std::size_t addresses_per_response = 4;
     /// Names + glue of the zone's nameservers; the glue A records land at
     /// the very end of the response (the poisoning target).
     std::vector<std::pair<DnsName, Ipv4Addr>> nameservers;

@@ -10,6 +10,12 @@
 
 namespace dnstime::dns {
 
+namespace {
+/// An upstream query unanswered this long is resent, once.
+constexpr sim::Duration kUpstreamTimeout = sim::Duration::seconds(2);
+constexpr int kUpstreamRetries = 1;
+}  // namespace
+
 Resolver::Resolver(net::NetStack& stack, Config config)
     : stack_(stack), config_(std::move(config)) {
   stack_.bind_udp(kDnsPort, [this](const net::UdpEndpoint& from, u16,
@@ -148,10 +154,8 @@ void Resolver::send_upstream(u64 key, Pending& p) {
   upstream_queries_++;
   p.attempts++;
   if (p.src_port != 0) stack_.unbind_udp(p.src_port);
-  p.txid = config_.randomize_challenge ? stack_.rng().next_u16() : seq_txid_++;
-  p.src_port = config_.randomize_challenge
-                   ? stack_.ephemeral_port()
-                   : static_cast<u16>(10000 + (seq_txid_ % 1000));
+  p.txid = stack_.rng().next_u16();
+  p.src_port = stack_.ephemeral_port();
 
   stack_.bind_udp(p.src_port, [this, key](const net::UdpEndpoint& from, u16,
                                           BufView payload) {
@@ -166,7 +170,7 @@ void Resolver::send_upstream(u64 key, Pending& p) {
 
   p.timeout.cancel();
   p.timeout = stack_.loop().schedule_after(
-      config_.upstream_timeout, [this, key] { on_upstream_timeout(key); });
+      kUpstreamTimeout, [this, key] { on_upstream_timeout(key); });
 }
 
 void Resolver::on_upstream_response(u64 key, const net::UdpEndpoint& from,
@@ -206,7 +210,7 @@ void Resolver::on_upstream_timeout(u64 key) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
   Pending& p = it->second;
-  if (p.attempts <= config_.upstream_retries) {
+  if (p.attempts <= kUpstreamRetries) {
     send_upstream(key, p);
     return;
   }
@@ -350,8 +354,7 @@ void Resolver::cache_response(const DnsQuestion& q,
       DNSTIME_PROV_EVENT(
           cache_insert(stack_.now().ns(), origin, key.first.c_str()));
       cache_.insert(DnsName::from_string(key.first), key.second,
-                    std::move(rrset), stack_.now(), config_.max_cache_ttl,
-                    origin);
+                    std::move(rrset), stack_.now(), kMaxCacheTtl, origin);
     }
   };
   cache_section(response.answers);

@@ -30,12 +30,6 @@ class Resolver {
     /// applies to zones with an anchor (others are treated as unsigned,
     /// like the real DNS where pool.ntp.org has no DS chain).
     std::unordered_map<std::string, u64> trust_anchors;
-    sim::Duration upstream_timeout = sim::Duration::seconds(2);
-    int upstream_retries = 1;
-    u32 max_cache_ttl = 7 * 86400;
-    /// If false, TXIDs and source ports are sequential (pre-Kaminsky
-    /// resolver; vulnerable to classic guessing, not needed by our attack).
-    bool randomize_challenge = true;
     /// Broken RD handling observed in parts of the open-resolver
     /// population: RD=0 queries are recursed anyway, which defeats the
     /// cache-probing technique's verification step (§VIII-A1).
@@ -73,7 +67,6 @@ class Resolver {
   [[nodiscard]] u64 cache_misses() const { return cache_misses_; }
   [[nodiscard]] u64 upstream_queries() const { return upstream_queries_; }
   [[nodiscard]] u64 validation_failures() const { return validation_failures_; }
-  [[nodiscard]] u64 mismatched_responses() const { return mismatched_; }
   [[nodiscard]] u64 poisoned_served() const { return poisoned_served_; }
 
  private:
@@ -126,7 +119,6 @@ class Resolver {
   std::vector<std::pair<DnsName, std::vector<Ipv4Addr>>> hints_;
   std::unordered_map<u64, Pending> pending_;
   u64 next_pending_key_ = 1;
-  u16 seq_txid_ = 1;  // used when randomize_challenge is off
   u64 client_queries_ = 0;
   u64 cache_hits_ = 0;
   u64 cache_misses_ = 0;
@@ -149,8 +141,8 @@ class StubResolver {
 
   [[nodiscard]] Ipv4Addr resolver() const { return resolver_; }
 
-  /// Issue one query. Timeout after `timeout` (one retry) yields an empty
-  /// answer set.
+  /// Send one query, with no retry. No matching reply within `timeout`
+  /// yields an empty answer set.
   void resolve(const DnsName& name, RrType type, Callback cb,
                sim::Duration timeout = sim::Duration::seconds(3));
 

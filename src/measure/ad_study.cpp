@@ -68,7 +68,8 @@ std::unique_ptr<StudyNameserver> make_study_ns(
 }  // namespace
 
 AdStudyResult run_ad_study(const AdStudyConfig& config) {
-  Rng rng(config.seed);
+  constexpr u64 kSeed = 0xAD5;
+  Rng rng(kSeed);
   AdStudyResult result;
   auto clients = sample_ad_clients(rng, config.population);
   result.clients_total = clients.size();

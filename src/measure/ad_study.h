@@ -17,7 +17,6 @@ namespace dnstime::measure {
 
 struct AdStudyConfig {
   AdClientParams population;
-  u64 seed = 0xAD5;
 };
 
 struct AdStudyCell {

@@ -1,6 +1,7 @@
 #include "measure/cache_probe.h"
 
 #include "dns/nameserver.h"
+#include "dns/pool_zone.h"
 #include "dns/resolver.h"
 
 namespace dnstime::measure {
@@ -32,7 +33,8 @@ struct Target {
 }  // namespace
 
 CacheProbeResult probe_open_resolvers(const CacheProbeConfig& config) {
-  Rng rng(config.seed);
+  constexpr u64 kSeed = 0xCAC4E;
+  Rng rng(kSeed);
   sim::EventLoop loop;
   sim::Network net(loop, rng.fork());
   net.set_default_profile(
@@ -54,11 +56,11 @@ CacheProbeResult probe_open_resolvers(const CacheProbeConfig& config) {
     result.rows.push_back(CacheProbeRow{label, 0, 0});
   }
 
-  const auto pool_name = dns::DnsName::from_string("pool.ntp.org");
+  const dns::DnsName& pool_name = dns::pool_name();
   std::vector<std::unique_ptr<Target>> targets;
   for (std::size_t i = 0; i < config.resolvers; ++i) {
     auto t = std::make_unique<Target>();
-    t->profile = sample_open_resolver(rng, config.population);
+    t->profile = sample_open_resolver(rng);
     t->stack = std::make_unique<net::NetStack>(
         net, Ipv4Addr{static_cast<u32>(0x14000000 + i)}, net::StackConfig{},
         rng.fork());

@@ -17,8 +17,6 @@ namespace dnstime::measure {
 struct CacheProbeConfig {
   /// Scaled sample of the paper's 1.58M responding open resolvers.
   std::size_t resolvers = 4000;
-  OpenResolverParams population;
-  u64 seed = 0xCAC4E;
 };
 
 struct CacheProbeRow {

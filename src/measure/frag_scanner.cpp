@@ -146,24 +146,25 @@ FragScanResult scan_domain_fragmentation(const FragScanConfig& config) {
   return result;
 }
 
-PoolNsScanResult scan_pool_nameservers(std::size_t count,
-                                       double frag_fraction, u64 seed) {
+PoolNsScanResult scan_pool_nameservers() {
   // The 30 pool nameservers scanned directly, with the measured share
-  // honouring PMTUD down to below 548 bytes and none serving DNSSEC.
+  // (16 of 30) honouring PMTUD down to below 548 bytes and none serving
+  // DNSSEC.
+  constexpr std::size_t kCount = 30;
   DomainParams params;
   params.dnssec_fraction = 0.0;
-  params.fragments_fraction = frag_fraction;
+  params.fragments_fraction = 16.0 / 30.0;
   params.min548_fraction = 1.0;
   params.min292_fraction = 0.1;
   params.deterministic = true;
   FragScanConfig cfg;
-  cfg.domains = count;
+  cfg.domains = kCount;
   cfg.population = params;
-  cfg.seed = seed;
+  cfg.seed = 0x30;
   FragScanResult scan = scan_domain_fragmentation(cfg);
 
   PoolNsScanResult result;
-  result.nameservers = count;
+  result.nameservers = kCount;
   result.dnssec = scan.dnssec_signed;
   result.fragment_below_548 = static_cast<std::size_t>(
       scan.min_fragment_cdf.fraction_leq(548.0) *

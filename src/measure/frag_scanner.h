@@ -48,9 +48,6 @@ struct PoolNsScanResult {
   std::size_t dnssec = 0;
 };
 
-[[nodiscard]] PoolNsScanResult scan_pool_nameservers(std::size_t count = 30,
-                                                     double frag_fraction =
-                                                         16.0 / 30.0,
-                                                     u64 seed = 0x30);
+[[nodiscard]] PoolNsScanResult scan_pool_nameservers();
 
 }  // namespace dnstime::measure

@@ -2,11 +2,52 @@
 
 namespace dnstime::measure {
 
+namespace {
+
+/// Rate limiters that send a KoD: 33% KoD / 38% limiters (§VII-A).
+constexpr double kKodFractionOfLimiters = 0.868;
+
+// Open resolvers: the fraction with each pool record cached (Table IV
+// marginals), ...
+constexpr double kCachedNs = 0.5828;
+constexpr double kCachedA = 0.6941;
+constexpr double kCachedSubA[4] = {0.6392, 0.6128, 0.6155, 0.5858};
+/// ... the fraction whose RD=0 handling is broken (probed but
+/// unverifiable; the paper verified the technique on 646,212 of 1,583,045
+/// responders) ...
+constexpr double kIgnoresRdBit = 0.10;
+/// ... and the fraction accepting fragments (§VIII-A2: 31% overall).
+constexpr double kAcceptsFragments = 0.31;
+
+// Ad-network clients (Table V).
+constexpr double kMobileFraction = 0.53;  ///< 3108 of 5847
+constexpr double kGoogleResolverFraction = 791.0 / 5847.0;
+/// Monotone fragment-acceptance classes for non-Google resolvers,
+/// calibrated to Table V's tiny/medium/big marginals: a resolver that
+/// accepts a fragment size accepts every larger one.
+/// Per-region tiny(68B) acceptance among non-Google resolvers,
+/// back-calibrated from Table V's regional tiny columns.
+constexpr double kAcceptTinyByRegion[5] = {0.67, 0.85, 0.84, 0.68, 0.79};
+constexpr double kAcceptSmallExtra = 0.05;   ///< accepts >=296 but not 68
+constexpr double kAcceptMediumExtra = 0.08;  ///< accepts >=580
+constexpr double kAcceptBigExtra = 0.09;     ///< accepts >=1280
+/// DNSSEC validation rate per region (§VIII-B2: 19.14%..28.94%).
+constexpr double kDnssecValidation[5] = {0.20, 0.25, 0.29, 0.19, 0.22};
+/// Results filtered out: page closed under 30 s / baseline failures.
+constexpr double kInvalidResultFraction = 0.06;
+
+// Web resolvers (§VIII-B3).
+constexpr double kSmtpSharedFraction = 0.113;
+constexpr double kOpenFraction = 0.023;
+constexpr double kOpenAndSmtpFraction = 0.002;
+
+}  // namespace
+
 PoolServerProfile sample_pool_server(Rng& rng, const PoolServerParams& p) {
   PoolServerProfile profile;
   profile.rate_limits = rng.chance(p.rate_limit_fraction);
   profile.sends_kod =
-      profile.rate_limits && rng.chance(p.kod_fraction_of_limiters);
+      profile.rate_limits && rng.chance(kKodFractionOfLimiters);
   profile.open_config = rng.chance(p.open_config_fraction);
   return profile;
 }
@@ -29,33 +70,21 @@ NameserverProfile sample_nameserver(Rng& rng, const DomainParams& p) {
   return profile;
 }
 
-OpenResolverProfile sample_open_resolver(Rng& rng,
-                                         const OpenResolverParams& p) {
+OpenResolverProfile sample_open_resolver(Rng& rng) {
   OpenResolverProfile profile;
-  profile.cached_ns = rng.chance(p.cached_ns);
-  profile.cached_a = rng.chance(p.cached_a);
+  profile.cached_ns = rng.chance(kCachedNs);
+  profile.cached_a = rng.chance(kCachedA);
   for (int i = 0; i < 4; ++i) {
-    profile.cached_sub_a[i] = rng.chance(p.cached_sub_a[i]);
+    profile.cached_sub_a[i] = rng.chance(kCachedSubA[i]);
   }
   if (profile.cached_a) {
     // A record TTL is 150 s; a cache populated at a random time in the
     // past holds a uniformly distributed remainder (Fig. 6).
     profile.a_ttl_remaining = static_cast<u32>(rng.uniform(1, 149));
   }
-  profile.ignores_rd_bit = rng.chance(p.ignores_rd_bit);
-  profile.accepts_fragments = rng.chance(p.accepts_fragments);
+  profile.ignores_rd_bit = rng.chance(kIgnoresRdBit);
+  profile.accepts_fragments = rng.chance(kAcceptsFragments);
   return profile;
-}
-
-const char* region_name(Region r) {
-  switch (r) {
-    case Region::kAsia: return "Asia";
-    case Region::kAfrica: return "Africa";
-    case Region::kEurope: return "Europe";
-    case Region::kNorthAmerica: return "Northern America";
-    case Region::kLatinAmerica: return "Latin America";
-  }
-  return "?";
 }
 
 std::vector<AdClientProfile> sample_ad_clients(Rng& rng,
@@ -65,9 +94,8 @@ std::vector<AdClientProfile> sample_ad_clients(Rng& rng,
     for (std::size_t i = 0; i < count; ++i) {
       AdClientProfile c;
       c.region = region;
-      c.device = rng.chance(p.mobile_fraction) ? Device::kMobile
-                                               : Device::kPc;
-      c.uses_google_resolver = rng.chance(p.google_resolver_fraction);
+      c.device = rng.chance(kMobileFraction) ? Device::kMobile : Device::kPc;
+      c.uses_google_resolver = rng.chance(kGoogleResolverFraction);
       // NB: thresholds use the sizes fragments actually take on the
       // wire — payloads are 8-aligned, so MTU 296 emits 292-byte leading
       // fragments and MTU 1280 emits 1276-byte ones.
@@ -75,26 +103,25 @@ std::vector<AdClientProfile> sample_ad_clients(Rng& rng,
         // Google's resolvers filter every fragment size below "big".
         c.resolver_min_fragment = 1276;
       } else {
-        double accept_tiny =
-            p.accept_tiny_by_region[static_cast<int>(region)];
+        double accept_tiny = kAcceptTinyByRegion[static_cast<int>(region)];
         double u = rng.uniform01();
         if (u < accept_tiny) {
           c.resolver_min_fragment = 0;
-        } else if (u < accept_tiny + p.accept_small_extra) {
+        } else if (u < accept_tiny + kAcceptSmallExtra) {
           c.resolver_min_fragment = 292;
-        } else if (u < accept_tiny + p.accept_small_extra +
-                           p.accept_medium_extra) {
+        } else if (u < accept_tiny + kAcceptSmallExtra +
+                           kAcceptMediumExtra) {
           c.resolver_min_fragment = 580;
-        } else if (u < accept_tiny + p.accept_small_extra +
-                           p.accept_medium_extra + p.accept_big_extra) {
+        } else if (u < accept_tiny + kAcceptSmallExtra +
+                           kAcceptMediumExtra + kAcceptBigExtra) {
           c.resolver_min_fragment = 1276;
         } else {
           c.resolver_min_fragment = 0xFFFF;  // rejects all fragments
         }
       }
       c.resolver_validates_dnssec =
-          rng.chance(p.dnssec_validation[static_cast<int>(region)]);
-      c.result_valid = !rng.chance(p.invalid_result_fraction);
+          rng.chance(kDnssecValidation[static_cast<int>(region)]);
+      c.result_valid = !rng.chance(kInvalidResultFraction);
       clients.push_back(c);
     }
   }
@@ -108,13 +135,13 @@ std::vector<WebResolverProfile> sample_web_resolvers(
   for (std::size_t i = 0; i < p.web_resolvers; ++i) {
     WebResolverProfile r;
     double u = rng.uniform01();
-    if (u < p.open_and_smtp_fraction) {
+    if (u < kOpenAndSmtpFraction) {
       r.is_open = true;
       r.has_smtp_neighbor = true;
-    } else if (u < p.open_and_smtp_fraction + p.open_fraction) {
+    } else if (u < kOpenAndSmtpFraction + kOpenFraction) {
       r.is_open = true;
-    } else if (u < p.open_and_smtp_fraction + p.open_fraction +
-                       p.smtp_shared_fraction) {
+    } else if (u < kOpenAndSmtpFraction + kOpenFraction +
+                       kSmtpSharedFraction) {
       r.has_smtp_neighbor = true;
     }
     out.push_back(r);

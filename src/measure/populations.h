@@ -19,12 +19,8 @@ namespace dnstime::measure {
 // ---- pool NTP servers (§VII-A scan) -----------------------------------
 
 struct PoolServerParams {
-  double rate_limit_fraction = 0.38;  ///< §VII-A: 38% rate-limit
-  double kod_fraction_of_limiters = 0.868;  ///< 33% KoD / 38% limiters
-  double open_config_fraction = 0.053;      ///< §IV-B2c: 5.3%
-  /// Some rate limiters still answer a trickle while limiting (§VII-A
-  /// notes this as a false-positive source the halves heuristic absorbs).
-  double leak_probability = 0.05;
+  double rate_limit_fraction = 0.38;    ///< §VII-A: 38% rate-limit
+  double open_config_fraction = 0.053;  ///< §IV-B2c: 5.3%
 };
 
 struct PoolServerProfile {
@@ -63,17 +59,6 @@ struct NameserverProfile {
 
 // ---- open resolvers (§VIII-A, Table IV, Fig. 6) ------------------------
 
-struct OpenResolverParams {
-  /// Fraction with each pool record cached (Table IV marginals).
-  double cached_ns = 0.5828;
-  double cached_a = 0.6941;
-  double cached_sub_a[4] = {0.6392, 0.6128, 0.6155, 0.5858};
-  /// Fraction whose RD=0 handling is broken (probed but unverifiable;
-  /// the paper verified the technique on 646,212 of 1,583,045 responders).
-  double ignores_rd_bit = 0.10;
-  double accepts_fragments = 0.31;  ///< §VIII-A2: 31% overall
-};
-
 struct OpenResolverProfile {
   bool cached_ns = false;
   bool cached_a = false;
@@ -83,16 +68,16 @@ struct OpenResolverProfile {
   bool accepts_fragments = false;
 };
 
-[[nodiscard]] OpenResolverProfile sample_open_resolver(
-    Rng& rng, const OpenResolverParams& p);
+/// Draws from the Table IV / §VIII-A marginals.
+[[nodiscard]] OpenResolverProfile sample_open_resolver(Rng& rng);
 
 // ---- ad-network web clients (§VIII-B, Table V) --------------------------
 
 enum class Region { kAsia, kAfrica, kEurope, kNorthAmerica, kLatinAmerica };
 enum class Device { kPc, kMobile };
 
-[[nodiscard]] const char* region_name(Region r);
-
+/// Per-client behaviour follows Table V's marginals (device mix, Google
+/// resolver share, regional fragment acceptance and DNSSEC validation).
 struct AdClientParams {
   /// Client counts per region as in Table V (dataset 1 + the NA dataset 2).
   std::vector<std::pair<Region, std::size_t>> region_counts = {
@@ -102,21 +87,6 @@ struct AdClientParams {
       {Region::kNorthAmerica, 2314},
       {Region::kLatinAmerica, 838},
   };
-  double mobile_fraction = 0.53;  ///< 3108 of 5847
-  double google_resolver_fraction = 791.0 / 5847.0;
-  /// Monotone fragment-acceptance classes for non-Google resolvers,
-  /// calibrated to Table V's tiny/medium/big marginals: a resolver that
-  /// accepts a fragment size accepts every larger one.
-  /// Per-region tiny(68B) acceptance among non-Google resolvers,
-  /// back-calibrated from Table V's regional tiny columns.
-  double accept_tiny_by_region[5] = {0.67, 0.85, 0.84, 0.68, 0.79};
-  double accept_small_extra = 0.05;   ///< accepts >=296 but not 68
-  double accept_medium_extra = 0.08;  ///< accepts >=580
-  double accept_big_extra = 0.09;     ///< accepts >=1280
-  /// DNSSEC validation rate per region (§VIII-B2: 19.14%..28.94%).
-  double dnssec_validation[5] = {0.20, 0.25, 0.29, 0.19, 0.22};
-  /// Results filtered out: page closed under 30 s / baseline failures.
-  double invalid_result_fraction = 0.06;
 };
 
 struct AdClientProfile {
@@ -135,11 +105,10 @@ struct AdClientProfile {
 
 // ---- shared-resolver discovery (§VIII-B3) -------------------------------
 
+/// Each resolver is open, shares a host with a mail server, or both, at
+/// the §VIII-B3 rates.
 struct SharedResolverParams {
   std::size_t web_resolvers = 2000;  ///< scaled from the paper's 18,668
-  double smtp_shared_fraction = 0.113;
-  double open_fraction = 0.023;
-  double open_and_smtp_fraction = 0.002;
 };
 
 struct WebResolverProfile {

@@ -4,9 +4,20 @@
 
 namespace dnstime::measure {
 
+namespace {
+constexpr int kQueriesPerServer = 64;
+constexpr sim::Duration kQuerySpacing = sim::Duration::seconds(1);
+/// First-half answers beyond second-half answers that mark a limiter.
+constexpr int kHalvesThreshold = 8;
+/// Some rate limiters still answer a trickle while limiting (§VII-A notes
+/// this as a false-positive source the halves heuristic absorbs).
+constexpr double kLeakProbability = 0.05;
+}  // namespace
+
 RateLimitScanResult scan_pool_rate_limiting(
     const RateLimitScanConfig& config) {
-  Rng rng(config.seed);
+  constexpr u64 kSeed = 0xA11CE;
+  Rng rng(kSeed);
   sim::EventLoop loop;
   sim::Network net(loop, rng.fork());
   net.set_default_profile(
@@ -37,7 +48,7 @@ RateLimitScanResult scan_pool_rate_limiting(
     ntp::ServerConfig sc;
     sc.rate_limit.enabled = t->profile.rate_limits;
     sc.rate_limit.send_kod = t->profile.sends_kod;
-    sc.rate_limit.leak_probability = config.population.leak_probability;
+    sc.rate_limit.leak_probability = kLeakProbability;
     sc.open_config_interface = t->profile.open_config;
     t->server = std::make_unique<ntp::NtpServer>(*t->stack, *t->clock, sc);
     if (t->profile.rate_limits) result.truth_rate_limiting++;
@@ -50,12 +61,11 @@ RateLimitScanResult scan_pool_rate_limiting(
                         rng.fork());
 
   // One long-lived port per target so responses attribute cleanly.
-  const int half = config.queries_per_server / 2;
+  const int half = kQueriesPerServer / 2;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     Target* t = targets[i].get();
     u16 port = static_cast<u16>(1024 + i);
-    scanner.bind_udp(port, [t, half, &loop, start = loop.now(),
-                            spacing = config.query_spacing](
+    scanner.bind_udp(port, [t, half, &loop, start = loop.now()](
                                const net::UdpEndpoint&, u16,
                                BufView payload) {
       ntp::NtpPacket resp;
@@ -68,16 +78,16 @@ RateLimitScanResult scan_pool_rate_limiting(
         t->kod_seen = true;
         return;
       }
-      i64 query_index = (loop.now() - start).ns() / spacing.ns();
+      i64 query_index = (loop.now() - start).ns() / kQuerySpacing.ns();
       if (query_index < half) {
         t->responses_first_half++;
       } else {
         t->responses_second_half++;
       }
     });
-    for (int q = 0; q < config.queries_per_server; ++q) {
+    for (int q = 0; q < kQueriesPerServer; ++q) {
       loop.schedule_at(
-          loop.now() + config.query_spacing * q, [t, port, &scanner] {
+          loop.now() + kQuerySpacing * q, [t, port, &scanner] {
             ntp::NtpPacket query;
             query.mode = ntp::Mode::kClient;
             query.tx_time = 1.0;
@@ -86,7 +96,7 @@ RateLimitScanResult scan_pool_rate_limiting(
           });
     }
   }
-  loop.run_for(config.query_spacing * (config.queries_per_server + 5));
+  loop.run_for(kQuerySpacing * (kQueriesPerServer + 5));
 
   // Configuration-interface probe (one query per server).
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -104,7 +114,7 @@ RateLimitScanResult scan_pool_rate_limiting(
   for (const auto& t : targets) {
     if (t->kod_seen) result.kod_servers++;
     if (t->responses_first_half >
-        t->responses_second_half + config.halves_threshold) {
+        t->responses_second_half + kHalvesThreshold) {
       result.rate_limiting_servers++;
     }
     if (t->config_answered) result.open_config_servers++;

@@ -12,13 +12,12 @@
 
 namespace dnstime::measure {
 
+/// The §VII-A probe: 64 mode-3 queries per server at 1 Hz. A server that
+/// answers more than 8 more queries in the first half than in the second
+/// counts as rate-limiting.
 struct RateLimitScanConfig {
   std::size_t servers = 2432;  ///< the paper's pool snapshot size
   PoolServerParams population;
-  int queries_per_server = 64;
-  sim::Duration query_spacing = sim::Duration::seconds(1);
-  int halves_threshold = 8;
-  u64 seed = 0xA11CE;
 };
 
 struct RateLimitScanResult {

@@ -8,7 +8,8 @@ namespace dnstime::measure {
 
 SharedResolverScanResult discover_shared_resolvers(
     const SharedResolverScanConfig& config) {
-  Rng rng(config.seed);
+  constexpr u64 kSeed = 0x54A12;
+  Rng rng(kSeed);
   sim::EventLoop loop;
   sim::Network net(loop, rng.fork());
   net.set_default_profile(

@@ -15,7 +15,6 @@ namespace dnstime::measure {
 
 struct SharedResolverScanConfig {
   SharedResolverParams population;
-  u64 seed = 0x54A12;
 };
 
 struct SharedResolverScanResult {

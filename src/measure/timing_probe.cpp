@@ -31,7 +31,11 @@ double TimingProbeResult::best_threshold_accuracy() const {
 }
 
 TimingProbeResult run_timing_probe(const TimingProbeConfig& config) {
-  Rng rng(config.seed);
+  // Share of the probed resolvers with the pool NS record cached.
+  constexpr double kCachedFraction = 0.58;
+  constexpr int kFollowupQueries = 4;
+  constexpr u64 kSeed = 0x7131;
+  Rng rng(kSeed);
   sim::EventLoop loop;
   sim::Network net(loop, rng.fork());
 
@@ -44,8 +48,7 @@ TimingProbeResult run_timing_probe(const TimingProbeConfig& config) {
       {dns::DnsName::from_string("ns1.ntp.org"), ns_stack.addr()}};
   std::vector<Ipv4Addr> pool_addrs;
   for (u32 i = 1; i <= 8; ++i) pool_addrs.push_back(Ipv4Addr{0x0A0A0000 + i});
-  auto zone = std::make_shared<dns::PoolZone>(
-      dns::DnsName::from_string("pool.ntp.org"), pool_addrs, pz);
+  auto zone = std::make_shared<dns::PoolZone>(dns::pool_name(), pool_addrs, pz);
   nameserver.add_zone(zone);
 
   TimingProbeResult result;
@@ -62,10 +65,10 @@ TimingProbeResult run_timing_probe(const TimingProbeConfig& config) {
   };
   std::vector<std::unique_ptr<Target>> targets;
 
-  const auto pool_ns_q = dns::DnsName::from_string("pool.ntp.org");
+  const dns::DnsName& pool_ns_q = dns::pool_name();
   for (std::size_t i = 0; i < config.resolvers; ++i) {
     auto t = std::make_unique<Target>();
-    t->cached = rng.chance(config.cached_fraction);
+    t->cached = rng.chance(kCachedFraction);
     if (t->cached) result.cached_truth++;
     Ipv4Addr addr{static_cast<u32>(0x38000000 + i)};
     t->stack = std::make_unique<net::NetStack>(net, addr, net::StackConfig{},
@@ -105,7 +108,7 @@ TimingProbeResult run_timing_probe(const TimingProbeConfig& config) {
   // RD=1 for the NS record; record per-query latency.
   for (std::size_t i = 0; i < targets.size(); ++i) {
     Target* t = targets[i].get();
-    for (int q = 0; q <= config.followup_queries; ++q) {
+    for (int q = 0; q <= kFollowupQueries; ++q) {
       loop.schedule_after(
           sim::Duration::seconds(2 * q), [t, &prober, &loop, pool_ns_q] {
             u16 port = prober.ephemeral_port();
@@ -129,8 +132,7 @@ TimingProbeResult run_timing_probe(const TimingProbeConfig& config) {
           });
     }
   }
-  loop.run_for(sim::Duration::seconds(
-      static_cast<i64>(2 * (config.followup_queries + 3))));
+  loop.run_for(sim::Duration::seconds(2 * (kFollowupQueries + 3)));
 
   for (const auto& t : targets) {
     if (t->latencies_ms.size() < 2) continue;

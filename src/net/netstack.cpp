@@ -12,8 +12,7 @@ NetStack::NetStack(sim::Network& net, Ipv4Addr addr, StackConfig config,
     : net_(net),
       addr_(addr),
       config_(config),
-      rng_(std::move(rng)),
-      reasm_(config.reassembly) {
+      rng_(std::move(rng)) {
   ipid_global_ = rng_.next_u16();
   net_.attach(addr_, this);
   schedule_expiry();
@@ -62,7 +61,7 @@ u16 NetStack::ephemeral_port() {
 
 u16 NetStack::path_mtu(Ipv4Addr dst) const {
   auto it = path_mtu_.find(dst);
-  return it == path_mtu_.end() ? config_.default_mtu : it->second;
+  return it == path_mtu_.end() ? kEthernetMtu : it->second;
 }
 
 u16 NetStack::next_ipid(Ipv4Addr dst) {
@@ -224,7 +223,7 @@ void NetStack::handle_icmp(const Ipv4Packet& pkt) {
   // can trivially satisfy it (§III-1).
   if (msg.orig_src != addr_) return;
   u16 mtu = std::max(msg.mtu, config_.min_pmtu);
-  if (mtu >= config_.default_mtu) return;
+  if (mtu >= kEthernetMtu) return;
   path_mtu_[msg.orig_dst] = mtu;
   DNSTIME_TRACE_INSTANT(now().ns(), "net", "pmtu-reduced", mtu);
   DNSTIME_PROV_EVENT(pmtu_reduced(now().ns(), config_.origin_module, mtu,

@@ -9,8 +9,9 @@
 //    stack will honour — the per-nameserver "minimum fragment size" of
 //    Fig. 5 / §VII-B;
 //  * fragment acceptance policy — the resolver-side attack surface measured
-//    in Table V and §VIII-A2 (e.g. Google's resolvers filter small frags);
-//  * reassembly timeout / cache caps — §IV-A boot-time attack economics.
+//    in Table V and §VIII-A2 (e.g. Google's resolvers filter small frags).
+// The reassembly cache runs Linux's policy (net/reassembly.h: 30 s timeout,
+// 64 datagrams per endpoint pair) and unprobed paths use the Ethernet MTU.
 #pragma once
 
 #include <functional>
@@ -34,7 +35,6 @@ enum class IpidMode {
 
 struct StackConfig {
   IpidMode ipid_mode = IpidMode::kGlobalSequential;
-  u16 default_mtu = kEthernetMtu;
   /// Accept ICMP frag-needed and register the advertised path MTU.
   bool honor_icmp_frag_needed = true;
   /// Lowest MTU this stack will register from an ICMP error; the effective
@@ -45,7 +45,6 @@ struct StackConfig {
   /// Drop fragmented datagrams whose first fragment is smaller than this
   /// (models resolvers that filter "tiny" fragments).
   u16 min_first_fragment_size = 0;
-  ReassemblyPolicy reassembly;
   /// Provenance tag stamped onto every payload this stack emits (see
   /// common/origin.h); scenario::World sets one per simulated role.
   OriginModule origin_module = OriginModule::kUnknown;
@@ -119,14 +118,9 @@ class NetStack : public sim::PacketSink {
   /// plain members on the packet hot path; ~NetStack folds them (plus the
   /// reassembly-cache counters) into the obs registry under net.*.
   [[nodiscard]] u64 udp_rx() const { return udp_rx_; }
-  [[nodiscard]] u64 udp_checksum_failures() const { return udp_bad_csum_; }
   [[nodiscard]] u64 fragments_rx() const { return fragments_rx_; }
   [[nodiscard]] u64 fragments_dropped() const { return fragments_dropped_; }
   [[nodiscard]] u64 packets_tx() const { return packets_tx_; }
-  [[nodiscard]] u64 fragments_tx() const { return fragments_tx_; }
-  [[nodiscard]] u64 datagrams_fragmented() const {
-    return datagrams_fragmented_;
-  }
 
  private:
   void handle_transport(const Ipv4Packet& pkt);

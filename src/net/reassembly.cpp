@@ -102,7 +102,7 @@ std::optional<Ipv4Packet> ReassemblyCache::try_complete(const Key& key,
 
 void ReassemblyCache::expire(sim::Time now) {
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (now - it->second.first_seen >= policy_.timeout) {
+    if (now - it->second.first_seen >= kReassemblyTimeout) {
       it = erase_entry(it);
       expired_++;
     } else {

@@ -3,10 +3,10 @@
 // This is the component the paper's §III attack poisons: a spoofed second
 // fragment planted here waits (up to the reassembly timeout — 30 s on
 // Linux, 60–120 s on Windows, 60 s per RFC 2460) until the genuine first
-// fragment arrives, and is then reassembled with it. Policy knobs model the
-// OS differences the paper cites: timeout and the cap on concurrently
-// cached fragments for the same endpoint pair (64 on patched Linux, 100 on
-// Windows).
+// fragment arrives, and is then reassembled with it. The timeout is Linux's;
+// the one policy knob models the other OS difference the paper cites: the
+// cap on concurrently cached fragments for the same endpoint pair (64 on
+// patched Linux, 100 on Windows).
 #pragma once
 
 #include <list>
@@ -19,8 +19,11 @@
 
 namespace dnstime::net {
 
+/// An incomplete datagram is dropped this long after its first fragment
+/// arrived (Linux's ipfrag_time).
+inline constexpr sim::Duration kReassemblyTimeout = sim::Duration::seconds(30);
+
 struct ReassemblyPolicy {
-  sim::Duration timeout = sim::Duration::seconds(30);
   /// Max incomplete datagrams cached per (src,dst,proto) pair. Each planted
   /// spoofed fragment with a distinct IPID consumes one slot, so this caps
   /// the attacker's IPID spray width (paper: Linux 64, Windows 100).

@@ -1,5 +1,6 @@
 #include "ntp/client_base.h"
 
+#include "dns/pool_zone.h"
 #include "ntp/poll_policy.h"
 
 namespace dnstime::ntp {
@@ -11,21 +12,23 @@ NtpClientBase::NtpClientBase(net::NetStack& stack, SystemClock& clock,
       config_(std::move(config)),
       stub_(stack, config_.resolver) {}
 
-void NtpClientBase::poll_server(Ipv4Addr server, PollCallback cb) {
-  u16 port = stack_.ephemeral_port();
-  double t1 = clock_.wall_seconds(stack_.now());
+void poll_server(net::NetStack& stack, const SystemClock& clock,
+                 Ipv4Addr server, PollCallback cb) {
+  const u16 port = stack.ephemeral_port();
+  const double t1 = clock.wall_seconds(stack.now());
 
   auto done = std::make_shared<bool>(false);
-  auto finish = [this, port, done, cb](const PollResult& result) {
+  auto finish = [&stack, port, done, cb = std::move(cb)](
+                    const PollResult& result) {
     if (*done) return;
     *done = true;
-    stack_.unbind_udp(port);
+    stack.unbind_udp(port);
     cb(result);
   };
 
-  stack_.bind_udp(port, [this, t1, server, finish](
-                            const net::UdpEndpoint& from, u16,
-                            BufView payload) {
+  stack.bind_udp(port, [&stack, &clock, t1, server, finish](
+                           const net::UdpEndpoint& from, u16,
+                           BufView payload) {
     if (from.addr != server || from.port != kNtpPort) return;
     NtpPacket resp;
     try {
@@ -35,7 +38,6 @@ void NtpClientBase::poll_server(Ipv4Addr server, PollCallback cb) {
     }
     if (resp.mode != Mode::kServer) return;
     PollResult result;
-    result.packet = resp;
     if (resp.is_rate_kod()) {
       result.kod = true;
       finish(result);
@@ -45,7 +47,7 @@ void NtpClientBase::poll_server(Ipv4Addr server, PollCallback cb) {
     // this is NTP's own off-path defence — our attack never has to beat
     // it because the client *willingly* queries the attacker's server).
     if (resp.org_time != t1) return;
-    double t4 = clock_.wall_seconds(stack_.now());
+    const double t4 = clock.wall_seconds(stack.now());
     result.responded = true;
     result.offset = ((resp.rx_time - t1) + (resp.tx_time - t4)) / 2.0;
     result.delay = (t4 - t1) - (resp.tx_time - resp.rx_time);
@@ -55,10 +57,10 @@ void NtpClientBase::poll_server(Ipv4Addr server, PollCallback cb) {
   NtpPacket query;
   query.mode = Mode::kClient;
   query.tx_time = t1;
-  stack_.send_udp(server, port, kNtpPort, encode_ntp_buf(query));
+  stack.send_udp(server, port, kNtpPort, encode_ntp_buf(query));
 
-  stack_.loop().schedule_after(config_.poll_timeout,
-                               [finish] { finish(PollResult{}); });
+  stack.loop().schedule_after(kPollTimeout,
+                              [finish] { finish(PollResult{}); });
 }
 
 void NtpClientBase::collect_offsets(
@@ -71,24 +73,20 @@ void NtpClientBase::collect_offsets(
   auto offsets = std::make_shared<std::vector<double>>();
   auto outstanding = std::make_shared<std::size_t>(servers.size());
   for (Ipv4Addr server : servers) {
-    poll_server(server, [offsets, outstanding, done](const PollResult& r) {
-      if (r.responded) offsets->push_back(r.offset);
-      if (--*outstanding == 0) done(std::move(*offsets));
-    });
+    poll_server(stack_, clock_, server,
+                [offsets, outstanding, done](const PollResult& r) {
+                  if (r.responded) offsets->push_back(r.offset);
+                  if (--*outstanding == 0) done(std::move(*offsets));
+                });
   }
 }
 
-void NtpClientBase::resolve(const std::string& domain,
-                            dns::StubResolver::Callback cb) {
-  stub_.resolve(dns::DnsName::from_string(domain), dns::RrType::kA,
-                std::move(cb));
+void NtpClientBase::resolve(dns::StubResolver::Callback cb) {
+  stub_.resolve(dns::pool_name(), dns::RrType::kA, std::move(cb));
 }
 
 bool NtpClientBase::discipline(double offset, bool at_boot) {
-  const PollPolicy policy{.step_threshold = config_.step_threshold,
-                          .panic_threshold = config_.panic_threshold,
-                          .allow_panic_at_boot = config_.allow_panic_at_boot};
-  switch (classify_offset(offset, at_boot, policy)) {
+  switch (classify_offset(offset, at_boot)) {
     case OffsetAction::kNone:
       return false;
     case OffsetAction::kSlew:

@@ -1,7 +1,8 @@
-// Shared machinery for all NTP client models: DNS pool resolution through
-// the host's configured recursive resolver, mode-3 poll transactions with
-// offset/delay computation, and clock discipline with step/panic
-// thresholds.
+// Shared machinery for all NTP client models: resolution of the pool
+// domain (dns::kPoolDomain) through the host's configured recursive
+// resolver, the mode-3 poll transaction, and clock discipline under the
+// step/panic policy of ntp/poll_policy.h. The population fleet
+// (scenario::ClientPopulation) polls through the same poll_server.
 //
 // The clients in ntp/clients/ reproduce the DNS-lookup and
 // association-management behaviour of the real implementations in the
@@ -22,29 +23,33 @@
 
 namespace dnstime::ntp {
 
-struct ClientBaseConfig {
-  /// DNS name(s) of the server pool (default mirrors real configs).
-  std::vector<std::string> pool_domains = {"pool.ntp.org"};
-  /// Recursive resolver this host is configured with.
-  Ipv4Addr resolver;
-  sim::Duration poll_interval = sim::Duration::seconds(64);
-  sim::Duration poll_timeout = sim::Duration::seconds(2);
-  /// Offsets above this are stepped rather than slewed (ntpd: 128 ms).
-  double step_threshold = 0.128;
-  /// Offsets above this are refused at run-time (ntpd panic: 1000 s).
-  double panic_threshold = 1000.0;
-  /// Accept any offset at boot (ntpd -g semantics; §V-A1: limits "are
-  /// explicitly not enforced at boot-time").
-  bool allow_panic_at_boot = true;
-};
+/// A poll that has no acceptable reply this long after the query ends as
+/// a timeout.
+inline constexpr sim::Duration kPollTimeout = sim::Duration::seconds(2);
 
-/// Result of one poll transaction.
+/// Result of one poll transaction. A timeout sets neither flag.
 struct PollResult {
   bool responded = false;
   bool kod = false;
   double offset = 0.0;  ///< server clock minus client clock, seconds
   double delay = 0.0;   ///< round-trip minus server processing, seconds
-  NtpPacket packet;
+};
+
+using PollCallback = std::function<void(const PollResult&)>;
+
+/// Send one mode-3 query from `stack`, timestamped T1 by `clock`, to
+/// `server`, and hand `cb` exactly one outcome: the first mode-4 reply from
+/// server:123 that is a rate KoD or echoes T1 as its origin timestamp, or
+/// else a timeout after kPollTimeout. Replies from another address or
+/// port, in another mode, that fail to decode or that carry another origin
+/// are ignored.
+void poll_server(net::NetStack& stack, const SystemClock& clock,
+                 Ipv4Addr server, PollCallback cb);
+
+struct ClientBaseConfig {
+  /// Recursive resolver this host is configured with.
+  Ipv4Addr resolver;
+  sim::Duration poll_interval = sim::Duration::seconds(64);
 };
 
 class NtpClientBase {
@@ -71,23 +76,17 @@ class NtpClientBase {
   [[nodiscard]] virtual std::vector<Ipv4Addr> current_servers() const = 0;
 
  protected:
-  using PollCallback = std::function<void(const PollResult&)>;
-
-  /// Send one mode-3 query to `server` and deliver the outcome (response,
-  /// KoD, or timeout) to `cb`.
-  void poll_server(Ipv4Addr server, PollCallback cb);
-
   /// Poll every server in `servers` at once; when the last poll ends, hand
   /// `done` the offsets of those that answered, in arrival order (at once
   /// if `servers` is empty).
   void collect_offsets(const std::vector<Ipv4Addr>& servers,
                        std::function<void(std::vector<double>)> done);
 
-  /// Resolve `domain` A records via the configured resolver.
-  void resolve(const std::string& domain, dns::StubResolver::Callback cb);
+  /// Resolve the pool domain's A records via the configured resolver.
+  void resolve(dns::StubResolver::Callback cb);
 
-  /// Apply one measured offset to the local clock under the configured
-  /// step/panic policy. Returns true if the clock changed.
+  /// Apply one measured offset to the local clock under the step/panic
+  /// policy. Returns true if the clock changed.
   bool discipline(double offset, bool at_boot);
 
   net::NetStack& stack_;

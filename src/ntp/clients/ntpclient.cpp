@@ -7,16 +7,15 @@ NtpclientClient::NtpclientClient(net::NetStack& stack, SystemClock& clock,
     : NtpClientBase(stack, clock, std::move(base_config)) {}
 
 void NtpclientClient::start() {
-  resolve(config_.pool_domains.front(),
-          [this](const std::vector<dns::ResourceRecord>& answers) {
-            if (!answers.empty()) server_ = answers.front().a;
-            poll_loop();
-          });
+  resolve([this](const std::vector<dns::ResourceRecord>& answers) {
+    if (!answers.empty()) server_ = answers.front().a;
+    poll_loop();
+  });
 }
 
 void NtpclientClient::poll_loop() {
   if (server_) {
-    poll_server(*server_, [this](const PollResult& r) {
+    poll_server(stack_, clock_, *server_, [this](const PollResult& r) {
       if (r.responded) {
         discipline(r.offset, !first_sync_done_);
         first_sync_done_ = true;
@@ -36,23 +35,22 @@ void AndroidSntpClient::start() { sync_once(); }
 
 void AndroidSntpClient::sync_once() {
   // Fresh hostname resolution per sync — the defining behaviour.
-  resolve(config_.pool_domains.front(),
-          [this](const std::vector<dns::ResourceRecord>& answers) {
-            if (answers.empty()) {
-              stack_.loop().schedule_after(config_.poll_interval,
-                                           [this] { sync_once(); });
-              return;
-            }
-            last_server_ = answers.front().a;
-            poll_server(*last_server_, [this](const PollResult& r) {
-              if (r.responded) {
-                // SNTP: apply directly, steps allowed.
-                discipline(r.offset, /*at_boot=*/true);
-              }
-              stack_.loop().schedule_after(config_.poll_interval,
-                                           [this] { sync_once(); });
-            });
-          });
+  resolve([this](const std::vector<dns::ResourceRecord>& answers) {
+    if (answers.empty()) {
+      stack_.loop().schedule_after(config_.poll_interval,
+                                   [this] { sync_once(); });
+      return;
+    }
+    last_server_ = answers.front().a;
+    poll_server(stack_, clock_, *last_server_, [this](const PollResult& r) {
+      if (r.responded) {
+        // SNTP: apply directly, steps allowed.
+        discipline(r.offset, /*at_boot=*/true);
+      }
+      stack_.loop().schedule_after(config_.poll_interval,
+                                   [this] { sync_once(); });
+    });
+  });
 }
 
 }  // namespace dnstime::ntp

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/stats.h"
+#include "ntp/poll_policy.h"
 #include "obs/provenance.h"
 
 namespace dnstime::ntp {
@@ -65,20 +66,19 @@ void PoolClient::refill_from_dns() {
   if (refill_in_flight_) return;
   refill_in_flight_ = true;
   refills_++;
-  resolve(config_.pool_domains.front(),
-          [this](const std::vector<dns::ResourceRecord>& answers) {
-            refill_in_flight_ = false;
-            for (const auto& rr : answers) {
-              if (assocs_.size() >= traits_.associations) break;
-              bool known = std::ranges::any_of(
-                  assocs_, [&](const auto& a) { return a->addr() == rr.a; });
-              if (known || rr.a == stack_.addr()) continue;
-              assocs_.push_back(std::make_shared<Association>(rr.a));
-              DNSTIME_PROV_EVENT(peer_adopted(stack_.now().ns(),
-                                              stack_.config().origin_module,
-                                              rr.a.value()));
-            }
-          });
+  resolve([this](const std::vector<dns::ResourceRecord>& answers) {
+    refill_in_flight_ = false;
+    for (const auto& rr : answers) {
+      if (assocs_.size() >= traits_.associations) break;
+      bool known = std::ranges::any_of(
+          assocs_, [&](const auto& a) { return a->addr() == rr.a; });
+      if (known || rr.a == stack_.addr()) continue;
+      assocs_.push_back(std::make_shared<Association>(rr.a));
+      DNSTIME_PROV_EVENT(peer_adopted(stack_.now().ns(),
+                                      stack_.config().origin_module,
+                                      rr.a.value()));
+    }
+  });
 }
 
 void PoolClient::poll_round() {
@@ -89,7 +89,7 @@ void PoolClient::poll_round() {
   }
   for (const auto& assoc : assocs_) {
     assoc->on_poll_sent();
-    poll_server(assoc->addr(),
+    poll_server(stack_, clock_, assoc->addr(),
                 [this, assoc, outstanding](const PollResult& r) {
                   if (r.responded) assoc->on_response(r.offset, r.delay);
                   if (--*outstanding == 0) {
@@ -119,7 +119,7 @@ void PoolClient::run_selection() {
   }
   if (traits_.system_peer) select_system_peer(combined);
 
-  bool large = std::abs(combined) > config_.step_threshold;
+  bool large = std::abs(combined) > kStepThreshold;
   bool changed = false;
   if (booting_) {
     changed = discipline(combined, /*at_boot=*/true);

@@ -11,16 +11,10 @@
 
 namespace dnstime::ntp {
 
-struct TimesyncdConfig {
-  /// Consecutive failed polls before moving to the next cached server.
-  int retries_per_server = 2;
-};
-
 class TimesyncdClient : public NtpClientBase {
  public:
   TimesyncdClient(net::NetStack& stack, SystemClock& clock,
-                  ClientBaseConfig base_config,
-                  TimesyncdConfig config = TimesyncdConfig{});
+                  ClientBaseConfig base_config);
 
   void start() override;
   [[nodiscard]] std::string name() const override {
@@ -34,7 +28,6 @@ class TimesyncdClient : public NtpClientBase {
   void lookup_and_restart();
   void poll_once();
 
-  TimesyncdConfig config_tsd_;
   std::vector<Ipv4Addr> server_list_;  ///< cached from the last DNS answer
   std::size_t index_ = 0;
   int failures_ = 0;

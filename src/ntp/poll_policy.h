@@ -2,12 +2,13 @@
 // scale worlds can discipline flat per-client state without instantiating
 // a client object per victim.
 //
-// The branch structure is exactly NtpClientBase::discipline's (ntpd
-// semantics, §V-A1): offsets within the noise floor are ignored, small
-// offsets slew, large ones step up to the panic threshold, and the panic
-// threshold itself is waived at boot (ntpd -g). scenario::ClientPopulation
-// and NtpClientBase both classify through this one function, so the herd
-// and the single-victim worlds can never drift apart on discipline rules.
+// The branch structure is ntpd's (§V-A1): offsets within the noise floor
+// are ignored, small offsets slew, large ones step up to the panic
+// threshold, and the panic threshold itself is waived at boot (ntpd -g;
+// §V-A1: limits "are explicitly not enforced at boot-time").
+// scenario::ClientPopulation and NtpClientBase both classify through this
+// one function, so the herd and the single-victim worlds can never drift
+// apart on discipline rules.
 #pragma once
 
 #include "common/types.h"
@@ -17,16 +18,10 @@ namespace dnstime::ntp {
 /// Offsets below this magnitude (seconds) are measurement noise; applying
 /// them would just jitter the clock.
 inline constexpr double kOffsetNoiseFloor = 0.0005;
-
-struct PollPolicy {
-  /// Offsets above this are stepped rather than slewed (ntpd: 128 ms).
-  double step_threshold = 0.128;
-  /// Offsets above this are refused at run-time (ntpd panic: 1000 s).
-  double panic_threshold = 1000.0;
-  /// Accept any offset at boot (ntpd -g; §V-A1: limits "are explicitly not
-  /// enforced at boot-time").
-  bool allow_panic_at_boot = true;
-};
+/// Offsets above this are stepped rather than slewed (ntpd: 128 ms).
+inline constexpr double kStepThreshold = 0.128;
+/// Offsets above this are refused at run-time (ntpd panic: 1000 s).
+inline constexpr double kPanicThreshold = 1000.0;
 
 enum class OffsetAction : u8 {
   kNone,    ///< within noise, leave the clock alone
@@ -36,15 +31,11 @@ enum class OffsetAction : u8 {
 };
 
 [[nodiscard]] constexpr OffsetAction classify_offset(double offset,
-                                                     bool at_boot,
-                                                     const PollPolicy& policy) {
+                                                     bool at_boot) {
   const double mag = offset < 0 ? -offset : offset;
   if (mag < kOffsetNoiseFloor) return OffsetAction::kNone;
-  if (mag <= policy.step_threshold) return OffsetAction::kSlew;
-  if (mag <= policy.panic_threshold ||
-      (at_boot && policy.allow_panic_at_boot)) {
-    return OffsetAction::kStep;
-  }
+  if (mag <= kStepThreshold) return OffsetAction::kSlew;
+  if (mag <= kPanicThreshold || at_boot) return OffsetAction::kStep;
   return OffsetAction::kRefuse;
 }
 

@@ -23,7 +23,7 @@ RateLimiter::Action RateLimiter::check(Ipv4Addr src, sim::Time now) {
 
   if (st.seen) {
     sim::Duration gap = now - st.last_arrival;
-    if (gap < config_.min_gap) {
+    if (gap < kMinGap) {
       // `discard minimum` violation: unconditional refusal. The arrival
       // still rolls the window forward and bleeds the bucket (ntpd's
       // average worsens with every sub-gap packet), so a continuous
@@ -34,7 +34,7 @@ RateLimiter::Action RateLimiter::check(Ipv4Addr src, sim::Time now) {
     }
     st.tokens = std::min(
         config_.burst,
-        st.tokens + gap.to_seconds() / config_.avg_interval.to_seconds());
+        st.tokens + gap.to_seconds() / kAvgInterval.to_seconds());
   }
   st.last_arrival = now;
   st.seen = true;
@@ -54,10 +54,10 @@ bool RateLimiter::is_limited(Ipv4Addr src, sim::Time now) const {
   const SourceState& st = it->second;
   if (!st.seen) return false;
   sim::Duration gap = now - st.last_arrival;
-  if (gap < config_.min_gap) return true;
+  if (gap < kMinGap) return true;
   double tokens = std::min(
       config_.burst,
-      st.tokens + gap.to_seconds() / config_.avg_interval.to_seconds());
+      st.tokens + gap.to_seconds() / kAvgInterval.to_seconds());
   return tokens < 1.0;
 }
 

@@ -8,7 +8,7 @@
 //    server drops *everything* sourced from the victim's address,
 //    including the victim's genuine polls;
 //  * a token bucket bounding the average rate (`discard average`): a
-//    burst is tolerated, then roughly one response per `avg_interval` —
+//    burst is tolerated, then roughly one response per kAvgInterval —
 //    this produces the scan signature of §VII-A (plenty of answers in the
 //    first half of a 64-query/1 Hz probe, silence in the second half).
 #pragma once
@@ -21,14 +21,17 @@
 
 namespace dnstime::ntp {
 
+/// Packets from one source closer together than this are dropped
+/// unconditionally.
+inline constexpr sim::Duration kMinGap = sim::Duration::millis(500);
+/// Token-bucket refill: one token per this interval (the enforced average
+/// rate).
+inline constexpr sim::Duration kAvgInterval = sim::Duration::seconds(8);
+
 struct RateLimitConfig {
   bool enabled = false;
-  /// Packets closer together than this are dropped unconditionally.
-  sim::Duration min_gap = sim::Duration::millis(500);
   /// Token-bucket depth: tolerated burst size.
   double burst = 16.0;
-  /// Refill: one token per this interval (the enforced average rate).
-  sim::Duration avg_interval = sim::Duration::seconds(8);
   /// Send a Kiss-o'-Death on the first drop of a dry spell (ntpd `kod`).
   /// §VII-A: 33% of pool servers KoD; the rest just go silent.
   bool send_kod = true;

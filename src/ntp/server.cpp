@@ -57,10 +57,13 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
       break;
   }
 
+  // Every simulated server claims a stratum-1 source, like a typical pool
+  // server.
+  constexpr u8 kStratum = 2;
   double wall = clock_.wall_seconds(now) + config_.time_shift;
   NtpPacket resp;
   resp.mode = Mode::kServer;
-  resp.stratum = config_.stratum;
+  resp.stratum = kStratum;
   resp.poll = query.poll;
   resp.refid = upstream_.value();
   resp.ref_time = wall - 16.0;  // pretend last sync 16 s ago

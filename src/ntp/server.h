@@ -22,7 +22,6 @@ struct ServerConfig {
   /// Constant shift (seconds) applied to served time; nonzero for
   /// attacker-controlled servers.
   double time_shift = 0.0;
-  u8 stratum = 2;
   /// Answer mode-6 configuration queries with upstream addresses and the
   /// configured hostname.
   bool open_config_interface = false;

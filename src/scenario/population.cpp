@@ -5,7 +5,9 @@
 #include <memory>
 #include <optional>
 
-#include "ntp/packet.h"
+#include "dns/pool_zone.h"
+#include "ntp/client_base.h"
+#include "ntp/poll_policy.h"
 #include "obs/counters.h"
 
 namespace dnstime::scenario {
@@ -26,36 +28,28 @@ std::vector<World::Host*> make_gateways(World& world, u32 count) {
   return out;
 }
 
-PopulationConfig clamped(PopulationConfig c) {
-  if (c.poll_s == 0) c.poll_s = 1;
-  if (c.poll_s > 0xFFFF) c.poll_s = 0xFFFF;
-  if (c.max_poll_s < c.poll_s) c.max_poll_s = c.poll_s;
-  if (c.max_poll_s > 0xFFFF) c.max_poll_s = 0xFFFF;
-  if (c.batch_cap == 0) c.batch_cap = 1;
-  return c;
-}
-
 }  // namespace
 
 ClientPopulation::ClientPopulation(World& world, PopulationConfig config)
     : world_(world),
-      config_(clamped(std::move(config))),
+      config_(std::move(config)),
       rng_(config_.seed),
       gateways_(make_gateways(world, config_.gateways)),
       stub_(*gateways_.front()->stack, world.resolver_addr()),
-      queue_(config_.max_poll_s) {
+      queue_(kMaxPollSeconds) {
+  config_.batch_cap = std::max(config_.batch_cap, 1u);
   const u32 n = config_.clients;
   server_.assign(n, 0);
   shift_.assign(n, 0.0);
   dns_expiry_s_.assign(n, 0);
-  poll_s_.assign(n, static_cast<u16>(config_.poll_s));
+  poll_s_.assign(n, kPollSeconds);
   flags_.assign(n, 0);
 
   // Stagger the first polls uniformly across one poll interval so the
-  // fleet settles into ~clients/poll_s cohorts per grid second instead of
-  // one thundering herd.
+  // fleet settles into ~clients/kPollSeconds cohorts per grid second
+  // instead of one thundering herd.
   for (u32 i = 0; i < n; ++i) {
-    arm(i, 1 + rng_.uniform(0, config_.poll_s - 1));
+    arm(i, 1 + rng_.uniform(0, kPollSeconds - 1));
   }
   rearm_driver();
 }
@@ -63,7 +57,7 @@ ClientPopulation::ClientPopulation(World& world, PopulationConfig config)
 ClientPopulation::~ClientPopulation() {
   // The driver captures `this`; kill it so a World outliving the
   // population cannot fire into freed fleet state. (Exchange handlers are
-  // bounded by poll_timeout; trials tear the World down with the
+  // bounded by ntp::kPollTimeout; trials tear the World down with the
   // population, so only the self-rescheduling driver needs this.)
   if (driver_armed_) driver_.cancel();
   DNSTIME_COUNT_ADD("population.clients", config_.clients);
@@ -89,7 +83,7 @@ void ClientPopulation::arm(u32 i, u64 delay_s) {
 
 void ClientPopulation::backoff(u32 i) {
   const u32 next =
-      std::min<u32>(static_cast<u32>(poll_s_[i]) * 2u, config_.max_poll_s);
+      std::min<u32>(static_cast<u32>(poll_s_[i]) * 2u, kMaxPollSeconds);
   poll_s_[i] = static_cast<u16>(next);
   arm(i, next);
 }
@@ -168,73 +162,31 @@ void ClientPopulation::dispatch_polls() {
 void ClientPopulation::begin_exchange(Ipv4Addr server,
                                       std::span<const u32> batch) {
   World::Host* gw = gateways_[gw_next_++ % gateways_.size()];
-  net::NetStack& stack = *gw->stack;
-  const u16 port = stack.ephemeral_port();
-  // Gateway clocks stay at true time, so t1/t4 measure the *server's*
-  // offset; each batched client subtracts its own shift afterwards.
-  const double t1 = gw->clock.wall_seconds(stack.now());
-
   metrics_.exchanges++;
   metrics_.polls += batch.size();
-
-  auto state = std::make_shared<std::vector<u32>>(batch.begin(), batch.end());
-  auto done = std::make_shared<bool>(false);
-  enum { kTimeout, kKod, kSample };
-  auto finish = [this, gw, port, state, done](int outcome, double offset) {
-    if (*done) return;
-    *done = true;
-    gw->stack->unbind_udp(port);
-    switch (outcome) {
-      case kTimeout:
-        metrics_.timeout_polls += state->size();
-        for (u32 i : *state) backoff(i);
-        break;
-      case kKod:
-        metrics_.kod_polls += state->size();
-        for (u32 i : *state) backoff(i);
-        break;
-      default:
-        for (u32 i : *state) apply_offset(i, offset);
-        break;
-    }
-    rearm_driver();
-  };
-
-  stack.bind_udp(port, [t1, server, gw, finish](const net::UdpEndpoint& from,
-                                                u16, BufView payload) {
-    if (from.addr != server || from.port != kNtpPort) return;
-    ntp::NtpPacket resp;
-    try {
-      resp = ntp::decode_ntp(payload);
-    } catch (const DecodeError&) {
-      return;
-    }
-    if (resp.mode != ntp::Mode::kServer) return;
-    if (resp.is_rate_kod()) {
-      finish(kKod, 0.0);
-      return;
-    }
-    if (resp.org_time != t1) return;
-    const double t4 = gw->clock.wall_seconds(gw->stack->now());
-    const double offset = ((resp.rx_time - t1) + (resp.tx_time - t4)) / 2.0;
-    finish(kSample, offset);
-  });
-
-  ntp::NtpPacket query;
-  query.mode = ntp::Mode::kClient;
-  query.tx_time = t1;
-  stack.send_udp(server, port, kNtpPort, ntp::encode_ntp_buf(query));
-
-  stack.loop().schedule_after(config_.poll_timeout,
-                              [finish] { finish(kTimeout, 0.0); });
+  // Gateway clocks stay at true time, so the poll measures the *server's*
+  // offset; each batched client subtracts its own shift afterwards.
+  auto clients =
+      std::make_shared<std::vector<u32>>(batch.begin(), batch.end());
+  ntp::poll_server(
+      *gw->stack, gw->clock, server,
+      [this, clients](const ntp::PollResult& r) {
+        if (r.responded) {
+          for (u32 i : *clients) apply_offset(i, r.offset);
+        } else {
+          (r.kod ? metrics_.kod_polls : metrics_.timeout_polls) +=
+              clients->size();
+          for (u32 i : *clients) backoff(i);
+        }
+        rearm_driver();
+      });
 }
 
 void ClientPopulation::maybe_resolve() {
   if (dns_waiters_.empty() || resolve_inflight_) return;
   resolve_inflight_ = true;
   metrics_.dns_queries++;
-  stub_.resolve(dns::DnsName::from_string(config_.pool_domain),
-                dns::RrType::kA,
+  stub_.resolve(dns::pool_name(), dns::RrType::kA,
                 [this](const std::vector<dns::ResourceRecord>& answers) {
                   on_dns(answers);
                 });
@@ -282,7 +234,7 @@ void ClientPopulation::apply_offset(u32 i, double server_offset) {
   // clock is off by shift_[i], so its own measurement would read:
   const double sample = server_offset - shift_[i];
   const bool at_boot = (flags_[i] & kSynced) == 0;
-  switch (ntp::classify_offset(sample, at_boot, config_.policy)) {
+  switch (ntp::classify_offset(sample, at_boot)) {
     case ntp::OffsetAction::kNone:
       break;
     case ntp::OffsetAction::kSlew:
@@ -299,7 +251,7 @@ void ClientPopulation::apply_offset(u32 i, double server_offset) {
       metrics_.refused++;
       break;
   }
-  poll_s_[i] = static_cast<u16>(config_.poll_s);  // healthy again
+  poll_s_[i] = kPollSeconds;  // healthy again
   arm(i, poll_s_[i]);
 }
 

@@ -15,17 +15,21 @@
 // 1 s grid, which is what makes herds form) and target the same server are
 // batched: one representative NTP exchange per <= batch_cap clients goes
 // out on the wire from a small pool of shared gateway NetStacks, through
-// the real UDP/IP path, against the real pool/attacker NTP servers with
-// their real rate limiters. The gateway clocks are true time, so the
-// exchange measures the *server's* offset; each batched client i then
-// disciplines on sample_i = server_offset - shift_i through the same
-// ntp::classify_offset policy the single-victim clients use. DNS works the
-// same way: all clients share the World's recursive resolver via one
-// in-flight StubResolver query, and each client tracks its own answer
-// expiry — so a poisoning that lands on the shared resolver migrates to
-// the fleet exactly as fast as per-client TTLs roll over, which is the
-// population-scale version of the paper's shared-resolver amplification
-// (§VIII-B3: one cache entry redirects every client behind the resolver).
+// ntp::poll_server — the same poll transaction the single-victim clients
+// run — against the real pool/attacker NTP servers with their real rate
+// limiters. The gateway clocks are true time, so the exchange measures the
+// *server's* offset; each batched client i then disciplines on
+// sample_i = server_offset - shift_i through the same ntp::classify_offset
+// policy the single-victim clients use. Every client polls every
+// kPollSeconds while healthy and doubles its interval up to
+// kMaxPollSeconds after a KoD or timeout (ntp::kPollTimeout). DNS works
+// the same way: all clients share the World's recursive resolver via one
+// in-flight StubResolver query for dns::kPoolDomain, and each client
+// tracks its own answer expiry — so a poisoning that lands on the shared
+// resolver migrates to the fleet exactly as fast as per-client TTLs roll
+// over, which is the population-scale version of the paper's
+// shared-resolver amplification (§VIII-B3: one cache entry redirects every
+// client behind the resolver).
 //
 // Determinism: deadlines pop from the calendar in (time, push) order, and
 // one pass over a due second appends each poll that goes on the wire to
@@ -39,34 +43,30 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "dns/resolver.h"
-#include "ntp/poll_policy.h"
 #include "scenario/world.h"
 #include "sim/second_calendar.h"
 
 namespace dnstime::scenario {
 
+/// Steady-state poll interval in seconds (ntpd's default 64 s); initial
+/// polls are staggered uniformly across one interval so cohorts spread.
+inline constexpr u16 kPollSeconds = 64;
+/// Backoff ceiling after KoD / timeout (the interval doubles per failure);
+/// also the furthest any poll is armed ahead, which sizes the calendar.
+inline constexpr u16 kMaxPollSeconds = 1024;
+
 struct PopulationConfig {
   u32 clients = 100'000;
   u64 seed = 1;
-  std::string pool_domain = "pool.ntp.org";
   /// Shared gateway NetStacks (10.200.0.x) that carry the representative
   /// exchanges; rotation spreads the per-source rate-limit cost.
   u32 gateways = 16;
   /// Max clients represented by one wire exchange.
   u32 batch_cap = 256;
-  /// Steady-state poll interval (ntpd default 64 s); initial polls are
-  /// staggered uniformly across one interval so cohorts spread.
-  u32 poll_s = 64;
-  /// Backoff ceiling after KoD / timeout (doubles per failure); also the
-  /// furthest any poll is armed ahead, which sizes the poll calendar.
-  u32 max_poll_s = 1024;
-  sim::Duration poll_timeout = sim::Duration::seconds(2);
-  ntp::PollPolicy policy;
 };
 
 /// The fleet. Construct against a World, then drive the World's loop as
@@ -120,7 +120,7 @@ class ClientPopulation {
   }
   [[nodiscard]] u64 now_s() const;
 
-  /// Arm client i's next poll `delay_s` (1..max_poll_s) whole seconds
+  /// Arm client i's next poll `delay_s` (1..kMaxPollSeconds) whole seconds
   /// from now (grid-quantised, so co-due clients batch).
   void arm(u32 i, u64 delay_s);
   void backoff(u32 i);

@@ -4,17 +4,12 @@
 
 namespace dnstime::scenario {
 
-namespace {
-const dns::DnsName kPoolName = dns::DnsName::from_string("pool.ntp.org");
-}  // namespace
-
 World::World(WorldConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
       loop_(),
       net_(loop_, rng_.fork()) {
-  net_.set_default_profile(
-      sim::LinkProfile{.latency = config_.link_latency});
+  // Every link runs the Network's default profile (10 ms, no jitter).
 
   // Pool NTP servers: 10.10.x.y.
   std::vector<Ipv4Addr> pool_addrs;
@@ -31,7 +26,7 @@ World::World(WorldConfig config)
     sc.rate_limit.enabled = limits;
     sc.rate_limit.send_kod = limits && rng_.chance(config_.kod_fraction);
     sc.open_config_interface = rng_.chance(config_.open_config_fraction);
-    sc.configured_hostname = "pool.ntp.org";
+    sc.configured_hostname = dns::kPoolDomain;
     ps->server = std::make_unique<ntp::NtpServer>(*ps->stack, *ps->clock, sc);
     pool_addrs.push_back(addr);
     pool_servers_.push_back(std::move(ps));
@@ -45,13 +40,17 @@ World::World(WorldConfig config)
   nameserver_ = std::make_unique<dns::Nameserver>(*ns_stack_);
   dns::PoolZone::Config pz;
   pz.a_ttl = config_.pool_a_ttl;
-  pz.pad_txt_bytes = config_.pool_response_pad;
+  // TXT padding sized so the NS/glue tail crosses the fragment boundary at
+  // the attack MTU (stands in for the paper's response-inflation tricks).
+  constexpr std::size_t kPoolResponsePad = 80;
+  pz.pad_txt_bytes = kPoolResponsePad;
   pz.nameservers = {
       {dns::DnsName::from_string("ns1.ntp.org"), ns_stack_->addr()},
       {dns::DnsName::from_string("ns2.ntp.org"), ns_stack_->addr()},
       {dns::DnsName::from_string("ns3.ntp.org"), ns_stack_->addr()},
   };
-  pool_zone_ = std::make_shared<dns::PoolZone>(kPoolName, pool_addrs, pz);
+  pool_zone_ =
+      std::make_shared<dns::PoolZone>(dns::pool_name(), pool_addrs, pz);
   nameserver_->add_zone(pool_zone_);
 
   // Victim recursive resolver at 10.53.0.1.
@@ -60,7 +59,7 @@ World::World(WorldConfig config)
   resolver_stack_ = std::make_unique<net::NetStack>(
       net_, Ipv4Addr{10, 53, 0, 1}, resolver_sc, rng_.fork());
   resolver_ = std::make_unique<dns::Resolver>(*resolver_stack_,
-                                              config_.resolver);
+                                              dns::Resolver::Config{});
   resolver_->add_zone_hint(dns::DnsName::from_string("ntp.org"),
                            {ns_stack_->addr()});
 
@@ -74,7 +73,8 @@ World::World(WorldConfig config)
   attacker_ns_stack_ = std::make_unique<net::NetStack>(
       net_, Ipv4Addr{6, 6, 6, 53}, attacker_ns_sc, rng_.fork());
   attacker_nameserver_ = std::make_unique<dns::Nameserver>(*attacker_ns_stack_);
-  auto evil_zone = std::make_shared<dns::StaticZone>(kPoolName);
+  const dns::DnsName& pool = dns::pool_name();
+  auto evil_zone = std::make_shared<dns::StaticZone>(pool);
   for (std::size_t i = 0; i < config_.attacker_ntp_count; ++i) {
     auto ps = std::make_unique<PoolServer>();
     Ipv4Addr addr{static_cast<u32>(0x06060700 + i + 1)};
@@ -89,9 +89,9 @@ World::World(WorldConfig config)
     // query answered.
     ps->server = std::make_unique<ntp::NtpServer>(*ps->stack, *ps->clock, sc);
     // Long TTL: keeps the poisoned answer pinned (>=24 h for Chronos).
-    evil_zone->add(dns::make_a(kPoolName, addr, 25 * 3600));
+    evil_zone->add(dns::make_a(pool, addr, 25 * 3600));
     // Country/numbered subzones resolve to the same attacker servers.
-    evil_zone->add(dns::make_a(kPoolName.prepend("0"), addr, 25 * 3600));
+    evil_zone->add(dns::make_a(pool.prepend("0"), addr, 25 * 3600));
     attacker_ntp_.push_back(std::move(ps));
   }
   attacker_nameserver_->add_zone(std::move(evil_zone));
@@ -133,13 +133,12 @@ attack::PoisonerConfig World::default_poisoner_config() const {
   return pc;
 }
 
-World::Host& World::add_host(Ipv4Addr addr, net::StackConfig stack_config) {
+World::Host& World::add_host(Ipv4Addr addr) {
   auto host = std::make_unique<Host>();
-  if (stack_config.origin_module == OriginModule::kUnknown) {
-    stack_config.origin_module = OriginModule::kVictim;
-  }
+  net::StackConfig victim_sc;
+  victim_sc.origin_module = OriginModule::kVictim;
   host->stack =
-      std::make_unique<net::NetStack>(net_, addr, stack_config, rng_.fork());
+      std::make_unique<net::NetStack>(net_, addr, victim_sc, rng_.fork());
   hosts_.push_back(std::move(host));
   return *hosts_.back();
 }
@@ -152,7 +151,7 @@ bool World::is_attacker_ntp(Ipv4Addr addr) const {
 }
 
 bool World::pool_a_poisoned() {
-  auto cached = resolver_->cache().lookup(kPoolName, dns::RrType::kA,
+  auto cached = resolver_->cache().lookup(dns::pool_name(), dns::RrType::kA,
                                           loop_.now());
   if (!cached) return false;
   for (const auto& rr : *cached) {

@@ -5,8 +5,8 @@
 //     answers, TTL 150 s, NS + glue tail, optional DNSSEC absence — §VII-B);
 //   * a configurable fleet of pool NTP servers (a fraction rate-limits,
 //     per the §VII-A scan);
-//   * the victim's recursive resolver (fragment acceptance / DNSSEC
-//     validation per study knobs);
+//   * the victim's recursive resolver (fragment acceptance per study
+//     knobs; no DNSSEC validation, as pool.ntp.org is unsigned);
 //   * the attacker: one off-path host, its own nameserver (which serves
 //     pool.ntp.org after the delegation hijack) and shifted-time NTP
 //     servers.
@@ -33,10 +33,6 @@ struct WorldConfig {
   double kod_fraction = 0.87;
   /// Fraction of pool servers exposing the config interface (5.3%).
   double open_config_fraction = 0.0;
-  /// TXT padding in pool responses, sized so the NS/glue tail crosses the
-  /// fragment boundary at `attack_mtu` (stands in for the paper's
-  /// response-inflation tricks).
-  std::size_t pool_response_pad = 80;
   /// Attacker-served time shift (the paper's lab used -500 s).
   double attacker_time_shift = -500.0;
   /// Number of attacker NTP servers (4 plain; 89 for the Chronos attack).
@@ -46,9 +42,7 @@ struct WorldConfig {
   u32 pool_a_ttl = 150;
   u16 attack_mtu = 296;
   net::StackConfig resolver_stack;   ///< fragment policy of the resolver
-  dns::Resolver::Config resolver;
   net::StackConfig ns_stack;         ///< PMTUD policy of the nameserver
-  sim::Duration link_latency = sim::Duration::millis(10);
 };
 
 class World {
@@ -85,8 +79,7 @@ class World {
   };
   /// Create a victim host (e.g. for an NTP client); the World keeps it
   /// alive.
-  Host& add_host(Ipv4Addr addr,
-                 net::StackConfig stack_config = net::StackConfig{});
+  Host& add_host(Ipv4Addr addr);
 
   // --- state checks ----------------------------------------------------
   /// Does the resolver currently serve attacker addresses for

@@ -90,9 +90,7 @@ ChronosScenarioResult run_chronos_attack(int honest_rounds) {
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
 
-  ChronosClientConfig cc;
-  cc.params.sample_size = 15;
-  ChronosClient client(*host.stack, host.clock, base_config(world), cc);
+  ChronosClient client(*host.stack, host.clock, base_config(world));
   client.start();
 
   // Let exactly `honest_rounds` hourly queries complete (the first fires

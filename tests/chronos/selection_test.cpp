@@ -20,7 +20,7 @@ std::vector<double> mixed_offsets(int honest, int malicious,
 }
 
 TEST(ChronosSelection, AllHonestAccepted) {
-  auto r = chronos_trim_select(mixed_offsets(15, 0), ChronosParams{});
+  auto r = chronos_trim_select(mixed_offsets(15, 0));
   ASSERT_TRUE(r.accepted);
   EXPECT_NEAR(r.offset, 0.0, 0.01);
 }
@@ -28,8 +28,7 @@ TEST(ChronosSelection, AllHonestAccepted) {
 TEST(ChronosSelection, MinorityAttackerTrimmedAway) {
   // Up to a third malicious: the shifted samples are discarded.
   for (int bad = 1; bad <= 5; ++bad) {
-    auto r = chronos_trim_select(mixed_offsets(15 - bad, bad),
-                                 ChronosParams{});
+    auto r = chronos_trim_select(mixed_offsets(15 - bad, bad));
     ASSERT_TRUE(r.accepted) << bad << " malicious";
     EXPECT_NEAR(r.offset, 0.0, 0.01) << bad << " malicious";
   }
@@ -39,8 +38,7 @@ TEST(ChronosSelection, MiddlingAttackerCausesDisagreement) {
   // Between 1/3 and 2/3: survivors mix honest and malicious -> spread
   // exceeds omega -> rejected (no silent time shift).
   for (int bad = 6; bad <= 9; ++bad) {
-    auto r = chronos_trim_select(mixed_offsets(15 - bad, bad),
-                                 ChronosParams{});
+    auto r = chronos_trim_select(mixed_offsets(15 - bad, bad));
     EXPECT_FALSE(r.accepted) << bad << " malicious";
     EXPECT_TRUE(r.agreement_failed) << bad << " malicious";
   }
@@ -49,18 +47,18 @@ TEST(ChronosSelection, MiddlingAttackerCausesDisagreement) {
 TEST(ChronosSelection, SupermajorityAttackerWinsButTripsDriftCheck) {
   // >2/3 malicious: survivors agree on the shifted value. The sampled
   // pass still rejects it via the drift bound...
-  auto r = chronos_trim_select(mixed_offsets(3, 12), ChronosParams{});
+  auto r = chronos_trim_select(mixed_offsets(3, 12));
   EXPECT_FALSE(r.accepted);
   EXPECT_TRUE(r.drift_check_failed);
   // ...but the panic pass (whole pool, no drift bound) accepts it — the
   // §VI-C end state.
-  auto p = chronos_panic_select(mixed_offsets(3, 12), ChronosParams{});
+  auto p = chronos_panic_select(mixed_offsets(3, 12));
   ASSERT_TRUE(p.accepted);
   EXPECT_NEAR(p.offset, -500.0, 0.01);
 }
 
 TEST(ChronosSelection, PanicRefusesContestedPool) {
-  auto p = chronos_panic_select(mixed_offsets(8, 7), ChronosParams{});
+  auto p = chronos_panic_select(mixed_offsets(8, 7));
   EXPECT_FALSE(p.accepted);
 }
 
@@ -69,8 +67,7 @@ TEST(ChronosSelection, ExactTwoThirdsBoundary) {
   // controlling >= 2/3 of the samples owns every survivor and wins the
   // panic pass; below that, survivors mix and the update is refused.
   for (int bad = 0; bad <= 96; ++bad) {
-    auto p = chronos_panic_select(mixed_offsets(96 - bad, bad),
-                                  ChronosParams{});
+    auto p = chronos_panic_select(mixed_offsets(96 - bad, bad));
     bool attacker_won = p.accepted && p.offset < -400.0;
     if (bad >= 64) {  // 2/3 of 96
       EXPECT_TRUE(attacker_won) << bad;
@@ -81,17 +78,17 @@ TEST(ChronosSelection, ExactTwoThirdsBoundary) {
 }
 
 TEST(ChronosSelection, EmptyAndTinyInputs) {
-  EXPECT_FALSE(chronos_trim_select({}, ChronosParams{}).accepted);
-  EXPECT_FALSE(chronos_trim_select({0.0, 0.0}, ChronosParams{}).accepted ==
+  EXPECT_FALSE(chronos_trim_select({}).accepted);
+  EXPECT_FALSE(chronos_trim_select({0.0, 0.0}).accepted ==
                false &&
                false);  // 2 samples: trim d=0, survivors=2 -> accepted
-  auto r = chronos_trim_select({0.0, 0.001}, ChronosParams{});
+  auto r = chronos_trim_select({0.0, 0.001});
   EXPECT_TRUE(r.accepted);
 }
 
 TEST(ChronosSelection, SmallDriftAccepted) {
   std::vector<double> offsets(15, 0.050);  // 50 ms everywhere
-  auto r = chronos_trim_select(offsets, ChronosParams{});
+  auto r = chronos_trim_select(offsets);
   ASSERT_TRUE(r.accepted);
   EXPECT_NEAR(r.offset, 0.050, 1e-9);
 }

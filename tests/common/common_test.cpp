@@ -81,11 +81,6 @@ TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({}), 0.0);
 }
 
-TEST(Stats, LinearSlope) {
-  EXPECT_NEAR(linear_slope({0, 1, 2, 3}, {5, 7, 9, 11}), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(linear_slope({1, 1}, {2, 3}), 0.0);  // degenerate x
-}
-
 TEST(Histogram, ClampsToEdges) {
   Histogram h(0, 10, 5);
   h.add(-100);

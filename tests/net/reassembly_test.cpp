@@ -81,7 +81,7 @@ TEST(Reassembly, DifferentIdsDoNotMix) {
 }
 
 TEST(Reassembly, TimeoutExpiresEntries) {
-  ReassemblyCache cache(ReassemblyPolicy{.timeout = Duration::seconds(30)});
+  ReassemblyCache cache;  // Linux's 30 s timeout
   auto frags = fragment(packet_of_size(400), 296);
   EXPECT_FALSE(cache.insert(frags[1], Time{}));
   cache.expire(Time{} + Duration::seconds(29));
@@ -124,8 +124,7 @@ TEST(Reassembly, PairCapSlotsFreeOnExpiryAndCompletion) {
   // The per-pair cap is enforced with an incrementally-maintained counter
   // (the old full-cache scan made a fragment spray O(n²)); this pins the
   // counter to the cache contents across every path that removes entries.
-  ReassemblyCache cache(ReassemblyPolicy{
-      .timeout = Duration::seconds(30), .max_datagrams_per_pair = 4});
+  ReassemblyCache cache(ReassemblyPolicy{.max_datagrams_per_pair = 4});
   auto base = fragment(packet_of_size(400), 296);
 
   // Fill the pair to its cap with incomplete datagrams.
