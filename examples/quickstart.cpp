@@ -32,14 +32,15 @@ int main() {
   cfg.poison = world.default_poisoner_config();
   cfg.trigger = attack::BootTimeConfig::Trigger::kOpenResolver;
   attack::BootTimeAttack attack(world.attacker(), cfg);
-  attack.set_success_check([&] { return world.pool_a_poisoned(); });
 
-  attack.run([&](const attack::AttackOutcome& outcome) {
-    std::printf("[*] poisoning %s at t=%s after %llu spoofed fragments\n",
-                outcome.success ? "SUCCEEDED" : "failed",
-                outcome.at.to_string().c_str(),
-                static_cast<unsigned long long>(outcome.fragments_planted));
-  });
+  attack.run([&] { return world.pool_a_poisoned(); },
+             [&](const attack::AttackOutcome& outcome) {
+               std::printf(
+                   "[*] poisoning %s at t=%s after %llu spoofed fragments\n",
+                   outcome.success ? "SUCCEEDED" : "failed",
+                   outcome.at.to_string().c_str(),
+                   static_cast<unsigned long long>(outcome.fragments_planted));
+             });
   world.run_for(sim::Duration::minutes(15));
 
   // The victim boots an ntpd-style client behind the poisoned resolver.

@@ -18,16 +18,16 @@ BootTimeAttack::BootTimeAttack(net::NetStack& attacker, BootTimeConfig config)
       config_(std::move(config)),
       poisoner_(attacker, config_.poison) {}
 
-void BootTimeAttack::run(std::function<void(const AttackOutcome&)> done) {
+void BootTimeAttack::run(std::function<bool()> success_check,
+                         std::function<void(const AttackOutcome&)> done) {
+  success_check_ = std::move(success_check);
   done_ = std::move(done);
   started_ = stack_.now();
   DNSTIME_TRACE_BEGIN(started_.ns(), "attack", "poison");
   poisoner_.start();
-  if (config_.trigger != BootTimeConfig::Trigger::kNone) {
-    // Give the first spray a moment to arm before forcing the query.
-    stack_.loop().schedule_after(sim::Duration::seconds(5),
-                                 [this] { fire_trigger(); });
-  }
+  // Give the first spray a moment to arm before forcing the query.
+  stack_.loop().schedule_after(sim::Duration::seconds(5),
+                               [this] { fire_trigger(); });
   stack_.loop().schedule_after(kCheckInterval, [this] { tick(); });
 }
 
@@ -47,8 +47,6 @@ void BootTimeAttack::fire_trigger() {
       QueryTrigger::via_smtp(stack_, config_.smtp_host,
                              dns::pool_name());
       break;
-    case BootTimeConfig::Trigger::kNone:
-      break;
   }
   stack_.loop().schedule_after(kTriggerInterval,
                                [this] { fire_trigger(); });
@@ -60,26 +58,11 @@ void BootTimeAttack::tick() {
     finish(false);
     return;
   }
-  if (success_check_) {
-    if (success_check_()) {
-      finish(true);
-    } else {
-      stack_.loop().schedule_after(kCheckInterval,
-                                   [this] { tick(); });
-    }
-    return;
+  if (success_check_()) {
+    finish(true);
+  } else {
+    stack_.loop().schedule_after(kCheckInterval, [this] { tick(); });
   }
-  // Default: RD=0 probe of the (open) resolver for one of the glue names
-  // we rewrote — we probe the poison target name itself.
-  poisoner_.verify_poisoned(dns::pool_name(), [this](bool hit) {
-    if (finished_) return;
-    if (hit) {
-      finish(true);
-    } else {
-      stack_.loop().schedule_after(kCheckInterval,
-                                   [this] { tick(); });
-    }
-  });
 }
 
 void BootTimeAttack::finish(bool success) {

@@ -1,10 +1,11 @@
 // Boot-time attack orchestrator (§IV-A, Fig. 2).
 //
 // Keeps the resolver's defragmentation cache primed (CachePoisoner),
-// optionally triggers the resolver's upstream query through an open
-// resolver or a co-located SMTP host, and reports success as soon as the
-// poisoned records are observable in the cache. A victim NTP client that
-// boots after that point takes all its servers from the attacker.
+// triggers the resolver's upstream query through an open resolver or a
+// co-located SMTP host, and reports success as soon as the injected
+// success check sees the poisoned records in the cache. A victim NTP
+// client that boots after that point takes all its servers from the
+// attacker.
 #pragma once
 
 #include "attack/cache_poisoner.h"
@@ -21,8 +22,8 @@ struct AttackOutcome {
 
 struct BootTimeConfig {
   PoisonerConfig poison;
-  enum class Trigger { kNone, kOpenResolver, kSmtp };
-  Trigger trigger = Trigger::kNone;
+  enum class Trigger { kOpenResolver, kSmtp };
+  Trigger trigger = Trigger::kOpenResolver;
   Ipv4Addr smtp_host;  ///< for Trigger::kSmtp
   sim::Duration deadline = sim::Duration::minutes(60);
 };
@@ -31,14 +32,10 @@ class BootTimeAttack {
  public:
   BootTimeAttack(net::NetStack& attacker, BootTimeConfig config);
 
-  /// Override the success detection (used when the victim resolver is not
-  /// open, so RD=0 probing from outside is impossible — the lab/scenario
-  /// checks the victim's state directly).
-  void set_success_check(std::function<bool()> check) {
-    success_check_ = std::move(check);
-  }
-
-  void run(std::function<void(const AttackOutcome&)> done);
+  /// `success_check` is polled every 10 s of simulated time; the lab or
+  /// scenario checks the victim resolver's cache directly.
+  void run(std::function<bool()> success_check,
+           std::function<void(const AttackOutcome&)> done);
   void stop();
 
   [[nodiscard]] CachePoisoner& poisoner() { return poisoner_; }

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <string_view>
 
 #include "common/buffer.h"
 #include "common/log.h"
@@ -25,6 +26,17 @@ void usage(const char* prog, bool scenario_flags) {
                "       [--progress FILE] [--workers N] "
                "[--log-level trace|debug|info|warn|off]%s\n",
                prog, scenario_flags ? " [--filter PREFIX]" : "");
+}
+
+/// Parses a --dump-on predicate ("auto", "error", "timeout",
+/// "attack-failed", "always"); nullopt on anything else.
+std::optional<DumpOn> parse_dump_on(std::string_view s) {
+  if (s == "auto") return DumpOn::kAuto;
+  if (s == "error") return DumpOn::kError;
+  if (s == "timeout") return DumpOn::kTimeout;
+  if (s == "attack-failed") return DumpOn::kAttackFailed;
+  if (s == "always") return DumpOn::kAlways;
+  return std::nullopt;
 }
 
 /// Process-wide buffer-pool stats as JSON: totals plus a sparse per-class
@@ -117,6 +129,8 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
     return opts;
   };
   bool threads_given = false;
+  bool dump_on_given = false;
+  bool trace_index_given = false;
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     if (std::strcmp(flag, "--json") == 0) {
@@ -196,18 +210,16 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
     } else if (std::strcmp(flag, "--dump") == 0) {
       opts.config.dump_dir = value;
     } else if (std::strcmp(flag, "--dump-on") == 0) {
-      if (std::strcmp(value, "auto") != 0 &&
-          std::strcmp(value, "error") != 0 &&
-          std::strcmp(value, "timeout") != 0 &&
-          std::strcmp(value, "attack-failed") != 0 &&
-          std::strcmp(value, "always") != 0) {
+      const std::optional<DumpOn> dump_on = parse_dump_on(value);
+      if (!dump_on) {
         std::fprintf(stderr,
                      "%s: invalid value '%s' for flag '--dump-on' (want "
                      "auto, error, timeout, attack-failed or always)\n",
                      argv[0], value);
         return fail();
       }
-      opts.config.dump_on = value;
+      opts.config.dump_on = *dump_on;
+      dump_on_given = true;
     } else if (std::strcmp(flag, "--progress") == 0) {
       opts.config.progress_path = value;
     } else if (std::strcmp(flag, "--workers") == 0) {
@@ -239,6 +251,7 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
         return fail();
       }
       opts.config.trace_index = parsed;
+      trace_index_given = true;
     } else if (std::strcmp(flag, "--log-level") == 0) {
       const std::optional<LogLevel> level = parse_log_level(value);
       if (!level) {
@@ -255,6 +268,16 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
   }
   if (opts.config.resume && opts.config.journal_dir.empty()) {
     std::fprintf(stderr, "%s: '--resume' requires '--journal DIR'\n",
+                 argv[0]);
+    return fail();
+  }
+  if (dump_on_given && opts.config.dump_dir.empty()) {
+    std::fprintf(stderr, "%s: '--dump-on' requires '--dump DIR'\n",
+                 argv[0]);
+    return fail();
+  }
+  if (trace_index_given && opts.config.trace_path.empty()) {
+    std::fprintf(stderr, "%s: '--trace-index' requires '--trace FILE'\n",
                  argv[0]);
     return fail();
   }

@@ -37,8 +37,10 @@ struct CliOptions {
 /// land in CampaignConfig::dump_dir/dump_on/progress_path (narrative
 /// dumps and the live progress stream; see runner.h).
 /// --log-level applies immediately (Logger::set_level); --trace/--trace-index
-/// land in CampaignConfig::trace_path/trace_index. Numeric values must be
-/// full unsigned-decimal tokens in range — garbage, trailing junk,
+/// land in CampaignConfig::trace_path/trace_index. A flag that only
+/// qualifies another is rejected without it: --resume needs --journal,
+/// --dump-on needs --dump and --trace-index needs --trace. Numeric values
+/// must be full unsigned-decimal tokens in range — garbage, trailing junk,
 /// negatives and overflow are reported like unknown flags (never silently
 /// parsed as 0), and --trials additionally rejects 0.
 /// On any error, prints the problem and a usage line to stderr and

@@ -33,19 +33,6 @@
 namespace dnstime::campaign {
 namespace {
 
-enum class DumpOn { kAuto, kError, kTimeout, kAttackFailed, kAlways };
-
-DumpOn parse_dump_on(const std::string& s) {
-  if (s == "auto") return DumpOn::kAuto;
-  if (s == "error") return DumpOn::kError;
-  if (s == "timeout") return DumpOn::kTimeout;
-  if (s == "attack-failed") return DumpOn::kAttackFailed;
-  if (s == "always") return DumpOn::kAlways;
-  throw std::invalid_argument(
-      "unknown dump predicate '" + s +
-      "' (expected auto, error, timeout, attack-failed or always)");
-}
-
 #if DNSTIME_OBS
 /// A deadline timeout presents as an unsuccessful trial that consumed the
 /// whole attack deadline without raising an error.
@@ -166,8 +153,6 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
   const bool tracing = !config_.trace_path.empty();
 #if DNSTIME_OBS
   const bool dumping = !config_.dump_dir.empty();
-  const DumpOn dump_mode =
-      dumping ? parse_dump_on(config_.dump_on) : DumpOn::kAuto;
 #endif
 
   // Live progress stream (JSON Lines). Opened before any trial runs so a
@@ -263,7 +248,7 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
         write_output(config_.trace_path, recorder.to_json(), "trace file");
       }
 #if DNSTIME_OBS
-      if (dumping && should_dump(dump_mode, spec, result)) {
+      if (dumping && should_dump(config_.dump_on, spec, result)) {
         write_output((std::filesystem::path(config_.dump_dir) /
                       dump_file_name(spec.name, trial_idx))
                          .string(),
@@ -380,7 +365,6 @@ CampaignReport CampaignRunner::run(
         "kill_trial is a worker-process test hook and needs workers >= 2");
   }
   if (!config_.dump_dir.empty()) {
-    (void)parse_dump_on(config_.dump_on);  // reject bad predicates early
 #if !DNSTIME_OBS
     throw std::invalid_argument(
         "narrative dumps require an observability build (DNSTIME_OBS=1)");

@@ -40,6 +40,10 @@ namespace store {
 struct JournalMeta;
 }  // namespace store
 
+/// Which trials get a narrative dump (CampaignConfig::dump_on): kAuto =
+/// error or deadline timeout, kAttackFailed = any unsuccessful trial.
+enum class DumpOn { kAuto, kError, kTimeout, kAttackFailed, kAlways };
+
 struct CampaignConfig {
   u64 seed = 0x5eed;
   /// Independent trials per scenario.
@@ -90,11 +94,8 @@ struct CampaignConfig {
   /// function of the trial seed, so they are byte-identical at any
   /// thread count.
   std::string dump_dir;
-  /// Which trials to dump (requires dump_dir): "auto" (error or
-  /// deadline timeout), "error", "timeout", "attack-failed" (any
-  /// unsuccessful trial), or "always". run() throws
-  /// std::invalid_argument on anything else.
-  std::string dump_on = "auto";
+  /// Which trials to dump (used only with dump_dir).
+  DumpOn dump_on = DumpOn::kAuto;
   /// Non-empty: stream live campaign progress to this file as JSON
   /// Lines, one line per finished trial (per-scenario done counts,
   /// success rate with a 95% Wilson interval, wall-clock ETA). The

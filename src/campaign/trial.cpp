@@ -173,11 +173,11 @@ TrialResult boot_time_trial(const ScenarioSpec& spec, TrialResult result) {
   bc.trigger = attack::BootTimeConfig::Trigger::kOpenResolver;
   bc.deadline = spec.stop.deadline;
   attack::BootTimeAttack attack(world.attacker(), bc);
-  attack.set_success_check([&] { return world.pool_a_poisoned(); });
 
   sim::Time attack_start = world.loop().now();
   std::optional<attack::AttackOutcome> outcome;
-  attack.run([&](const attack::AttackOutcome& o) { outcome = o; });
+  attack.run([&] { return world.pool_a_poisoned(); },
+             [&](const attack::AttackOutcome& o) { outcome = o; });
   run_until(world, spec.stop.deadline + Duration::minutes(1),
             Duration::seconds(30), [&] { return outcome.has_value(); });
 

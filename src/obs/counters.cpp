@@ -1,126 +1,48 @@
 #include "obs/counters.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <map>
 #include <mutex>
 
 namespace dnstime::obs {
+
+/// The whole registry; every member is guarded by `mutex`.
+struct Registry::Impl {
+  std::mutex mutex;
+  // Tag -> id. Sorted maps double as the deterministic iteration order of
+  // snapshot().
+  std::map<std::string, Id, std::less<>> counters;
+  std::map<std::string, Id, std::less<>> histograms;
+  // Values, indexed by those ids.
+  std::vector<u64> counter_values;
+  std::vector<HistogramData> histogram_values;
+};
+
 namespace {
+
+/// Id of `name`, registering it with a zero value on first use. Caller
+/// holds the registry mutex.
+template <typename Value>
+Registry::Id intern(std::map<std::string, Registry::Id, std::less<>>& ids,
+                    std::vector<Value>& values, std::string_view name) {
+  auto it = ids.find(name);
+  if (it != ids.end()) return it->second;
+  const auto id = static_cast<Registry::Id>(values.size());
+  values.emplace_back();
+  ids.emplace(std::string(name), id);
+  return id;
+}
 
 /// Log2 bucket of a sample: floor(log2(v)) for v > 0, bucket 0 for v == 0.
 std::size_t bucket_of(u64 v) {
   return v == 0 ? 0 : static_cast<std::size_t>(std::bit_width(v)) - 1;
 }
 
-/// Cells a histogram occupies in the shard cell space:
-/// [count, sum, min, max, bucket 0 .. bucket 63].
-constexpr u32 kHistCells = 4 + 64;
-
-}  // namespace
-
-void HistogramData::merge(const HistogramData& o) {
-  if (o.count == 0) return;
-  count += o.count;
-  sum += o.sum;
-  min = std::min(min, o.min);
-  max = std::max(max, o.max);
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
-}
-
-// ---------------------------------------------------------------------------
-// Registry internals
-
-struct Registry::Impl {
-  /// Per-thread cell store. Chunks are allocated by the owning thread only
-  /// and published with a release store; snapshot readers load acquire, so
-  /// a mid-run snapshot never observes a half-constructed chunk. The chunk
-  /// pointer array is fixed-size precisely so growth never moves memory a
-  /// reader might be walking.
-  struct Shard {
-    static constexpr std::size_t kChunkSize = 256;
-    static constexpr std::size_t kMaxChunks = 64;  // 16384 cells
-    struct Chunk {
-      std::array<std::atomic<u64>, kChunkSize> cells{};
-    };
-    std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
-
-    ~Shard() {
-      for (auto& c : chunks) delete c.load(std::memory_order_relaxed);
-    }
-
-    /// Owner-thread cell accessor (allocates the chunk on first touch).
-    std::atomic<u64>& cell(u32 id) {
-      const std::size_t ci = id / kChunkSize;
-      Chunk* c = chunks[ci].load(std::memory_order_relaxed);
-      if (c == nullptr) {
-        c = new Chunk();
-        chunks[ci].store(c, std::memory_order_release);
-      }
-      return c->cells[id % kChunkSize];
-    }
-
-    /// Reader-side value of a cell (0 when its chunk was never touched).
-    [[nodiscard]] u64 read(u32 id) const {
-      const Chunk* c = chunks[id / kChunkSize].load(std::memory_order_acquire);
-      return c == nullptr
-                 ? 0
-                 : c->cells[id % kChunkSize].load(std::memory_order_relaxed);
-    }
-
-    /// Owner-only single-writer bump: relaxed load+store compiles to a
-    /// plain add, with atomics making concurrent snapshot reads defined.
-    void bump(u32 id, u64 n) {
-      std::atomic<u64>& c = cell(id);
-      c.store(c.load(std::memory_order_relaxed) + n,
-              std::memory_order_relaxed);
-    }
-
-    void store(u32 id, u64 v) {
-      cell(id).store(v, std::memory_order_relaxed);
-    }
-  };
-
-  std::mutex mutex;
-  // Sorted maps double as the deterministic iteration order of snapshot().
-  std::map<std::string, Id, std::less<>> counters;
-  std::map<std::string, Id, std::less<>> histograms;
-  u32 next_cell = 0;
-  std::vector<Shard*> live;
-  std::vector<u64> retired;  ///< folded cells of exited threads
-};
-
-namespace {
-
-/// Registers the calling thread's shard on first use and folds it into the
-/// retired accumulator when the thread exits.
-struct ShardHandle {
-  Registry::Impl* impl;
-  Registry::Impl::Shard* shard;
-
-  explicit ShardHandle(Registry::Impl& i)
-      : impl(&i), shard(new Registry::Impl::Shard) {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    impl->live.push_back(shard);
-  }
-  ~ShardHandle() {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    retire(*impl, *shard);
-    auto it = std::find(impl->live.begin(), impl->live.end(), shard);
-    if (it != impl->live.end()) impl->live.erase(it);
-    delete shard;
-  }
-
-  static void retire(Registry::Impl& impl, const Registry::Impl::Shard& s);
-};
-
 }  // namespace
 
 Registry& Registry::instance() {
-  // Leaked: thread_local shard handles fold into it at thread exit, which
-  // can outlive any static-destruction order.
   static Registry* const g = new Registry;
   return *g;
 }
@@ -133,96 +55,31 @@ Registry::Impl& Registry::impl() {
 Registry::Id Registry::counter_id(std::string_view name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mutex);
-  auto it = im.counters.find(name);
-  if (it != im.counters.end()) return it->second;
-  const Id id = im.next_cell;
-  im.next_cell += 1;
-  im.counters.emplace(std::string(name), id);
-  return id;
+  return intern(im.counters, im.counter_values, name);
 }
 
 Registry::Id Registry::histogram_id(std::string_view name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mutex);
-  auto it = im.histograms.find(name);
-  if (it != im.histograms.end()) return it->second;
-  const Id id = im.next_cell;
-  im.next_cell += kHistCells;
-  im.histograms.emplace(std::string(name), id);
-  return id;
-}
-
-namespace {
-
-Registry::Impl::Shard& local_shard(Registry::Impl& im) {
-  thread_local ShardHandle handle(im);
-  return *handle.shard;
-}
-
-/// Histogram cell layout helpers (base = histogram_id).
-enum : u32 { kHCount = 0, kHSum = 1, kHMin = 2, kHMax = 3, kHBuckets = 4 };
-
-HistogramData read_histogram(const Registry::Impl::Shard& s, u32 base) {
-  HistogramData h;
-  h.count = s.read(base + kHCount);
-  if (h.count == 0) return h;
-  h.sum = s.read(base + kHSum);
-  h.min = s.read(base + kHMin);
-  h.max = s.read(base + kHMax);
-  for (u32 b = 0; b < 64; ++b) h.buckets[b] = s.read(base + kHBuckets + b);
-  return h;
-}
-
-HistogramData read_retired_histogram(const std::vector<u64>& cells, u32 base) {
-  HistogramData h;
-  if (cells.size() < base + kHistCells) return h;
-  h.count = cells[base + kHCount];
-  if (h.count == 0) return h;
-  h.sum = cells[base + kHSum];
-  h.min = cells[base + kHMin];
-  h.max = cells[base + kHMax];
-  for (u32 b = 0; b < 64; ++b) h.buckets[b] = cells[base + kHBuckets + b];
-  return h;
-}
-
-void write_retired_histogram(std::vector<u64>& cells, u32 base,
-                             const HistogramData& h) {
-  cells[base + kHCount] = h.count;
-  cells[base + kHSum] = h.sum;
-  cells[base + kHMin] = h.count == 0 ? 0 : h.min;
-  cells[base + kHMax] = h.max;
-  for (u32 b = 0; b < 64; ++b) cells[base + kHBuckets + b] = h.buckets[b];
-}
-
-}  // namespace
-
-void ShardHandle::retire(Registry::Impl& im, const Registry::Impl::Shard& s) {
-  // Caller holds im.mutex. Counters sum; histograms merge (their min cell
-  // is not additive).
-  if (im.retired.size() < im.next_cell) im.retired.resize(im.next_cell, 0);
-  for (const auto& [name, id] : im.counters) {
-    im.retired[id] += s.read(id);
-  }
-  for (const auto& [name, base] : im.histograms) {
-    HistogramData merged = read_retired_histogram(im.retired, base);
-    merged.merge(read_histogram(s, base));
-    write_retired_histogram(im.retired, base, merged);
-  }
+  return intern(im.histograms, im.histogram_values, name);
 }
 
 void Registry::add(Id id, u64 n) {
   if (n == 0) return;
-  local_shard(impl()).bump(id, n);
+  Impl& im = impl();
+  std::lock_guard<std::mutex> lock(im.mutex);
+  im.counter_values[id] += n;
 }
 
 void Registry::record(Id id, u64 value) {
-  Impl::Shard& s = local_shard(impl());
-  const u64 count = s.read(id + kHCount);
-  if (count == 0 || value < s.read(id + kHMin)) s.store(id + kHMin, value);
-  if (value > s.read(id + kHMax)) s.store(id + kHMax, value);
-  s.bump(id + kHCount, 1);
-  s.bump(id + kHSum, value);
-  s.bump(id + kHBuckets + static_cast<u32>(bucket_of(value)), 1);
+  Impl& im = impl();
+  std::lock_guard<std::mutex> lock(im.mutex);
+  HistogramData& h = im.histogram_values[id];
+  h.count += 1;
+  h.sum += value;
+  h.min = std::min(h.min, value);
+  h.max = std::max(h.max, value);
+  h.buckets[bucket_of(value)] += 1;
 }
 
 Snapshot Registry::snapshot() {
@@ -231,15 +88,11 @@ Snapshot Registry::snapshot() {
   Snapshot snap;
   snap.counters.reserve(im.counters.size());
   for (const auto& [name, id] : im.counters) {
-    u64 total = id < im.retired.size() ? im.retired[id] : 0;
-    for (const Impl::Shard* s : im.live) total += s->read(id);
-    snap.counters.emplace_back(name, total);
+    snap.counters.emplace_back(name, im.counter_values[id]);
   }
   snap.histograms.reserve(im.histograms.size());
-  for (const auto& [name, base] : im.histograms) {
-    HistogramData merged = read_retired_histogram(im.retired, base);
-    for (const Impl::Shard* s : im.live) merged.merge(read_histogram(*s, base));
-    snap.histograms.emplace_back(name, merged);
+  for (const auto& [name, id] : im.histograms) {
+    snap.histograms.emplace_back(name, im.histogram_values[id]);
   }
   return snap;
 }
@@ -247,14 +100,9 @@ Snapshot Registry::snapshot() {
 void Registry::reset() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mutex);
-  std::fill(im.retired.begin(), im.retired.end(), 0);
-  for (Impl::Shard* s : im.live) {
-    for (u32 id = 0; id < im.next_cell; ++id) {
-      const auto ci = id / Impl::Shard::kChunkSize;
-      if (s->chunks[ci].load(std::memory_order_acquire) == nullptr) continue;
-      s->cell(id).store(0, std::memory_order_relaxed);
-    }
-  }
+  std::fill(im.counter_values.begin(), im.counter_values.end(), 0);
+  std::fill(im.histogram_values.begin(), im.histogram_values.end(),
+            HistogramData{});
 }
 
 // ---------------------------------------------------------------------------

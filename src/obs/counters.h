@@ -1,29 +1,28 @@
-// Process-wide metrics registry: cheap counters and log2-bucket histograms,
-// sharded per thread so the hot path never contends.
+// Process-wide metrics registry: counters and log2-bucket histograms kept
+// in one mutex-guarded table.
 //
 // Design rules (see src/obs/README.md for the full contract):
-//  * Recording is zero-allocation after the first touch of a (thread, tag)
-//    pair: a macro site resolves its tag to a stable id once (function-local
-//    static), then every hit is one relaxed read-modify-write on a cell that
-//    only the owning thread writes. No lock, no fetch_add, no branch on a
-//    sink being attached.
-//  * Cells are std::atomic<u64> written single-writer: the owner updates
-//    with relaxed load+store (compiles to plain add on x86/ARM), readers
-//    snapshot with relaxed loads. Exact totals require writer quiescence
-//    (snapshot after joining workers); mid-run snapshots are torn-free but
-//    may lag.
-//  * Counter totals are additive and histogram merges are order-independent,
-//    so a quiescent snapshot is identical at any thread count — metrics for
-//    a deterministic campaign are themselves deterministic, except for tags
-//    that record wall-clock time (named *_us / *_wall by convention).
+//  * A macro site resolves its tag to a stable id once (function-local
+//    static); every hit then takes the registry mutex and adds into the
+//    value slot for that id. Snapshots take the same mutex, so they are
+//    always exact.
+//  * The lock is cheap because no call site is hot. Every counter and
+//    histogram export in src/ runs once per component lifetime, per
+//    trial or per worker: the destructors of EventLoop, NetStack,
+//    Resolver and ClientPopulation, ShardWriter::close, and the campaign
+//    trial wrapper and worker loop. Adding 0 returns before locking.
+//  * Counter totals are additive and histogram updates are
+//    order-independent, so a snapshot after the workers join is identical
+//    at any thread count — metrics for a deterministic campaign are
+//    themselves deterministic, except for tags that record wall-clock time
+//    (named *_us / *_wall by convention).
 //  * DNSTIME_OBS=0 (cmake -DDNSTIME_OBS=OFF) compiles every macro to a
 //    no-op; the registry types remain so cold-path callers need no guards.
 //
-// Hot components (EventLoop, NetStack, Resolver, BufferPool) do NOT call
-// these macros per event: they keep plain member counters and fold them into
-// the registry once, in their destructors, via DNSTIME_COUNT_ADD. That keeps
-// the per-packet cost to a plain increment and is how the repo's <=2% bench
-// overhead budget is met.
+// Hot components do NOT call these macros per event: they keep plain
+// member counters and export them once, via DNSTIME_COUNT_ADD, when they
+// are destroyed or closed. That keeps the per-packet cost to a plain
+// increment and is how the repo's <=2% bench overhead budget is met.
 #pragma once
 
 #include <array>
@@ -40,19 +39,17 @@
 
 namespace dnstime::obs {
 
-/// Merged histogram state: count/sum/min/max plus log2 buckets (bucket i
-/// holds values whose bit width is i; value 0 lands in bucket 0).
+/// Histogram state: count/sum/min/max plus log2 buckets (bucket i holds
+/// values whose bit width is i + 1; values 0 and 1 land in bucket 0).
 struct HistogramData {
   u64 count = 0;
   u64 sum = 0;
   u64 min = ~u64{0};  ///< meaningful only when count > 0
   u64 max = 0;
   std::array<u64, 64> buckets{};
-
-  void merge(const HistogramData& o);
 };
 
-/// Point-in-time merge of every shard, name-sorted so rendering is
+/// Point-in-time copy of the registry, name-sorted so rendering is
 /// deterministic.
 struct Snapshot {
   std::vector<std::pair<std::string, u64>> counters;
@@ -76,33 +73,31 @@ class Registry {
  public:
   using Id = u32;
 
-  /// Leaked singleton: worker threads fold their shards into it at thread
-  /// exit, which may happen after static destruction would have run.
+  /// Leaked singleton: component destructors export into it, and those
+  /// may run after static destruction would have torn it down.
   static Registry& instance();
 
-  /// Resolve (registering on first use) a tag. Takes a mutex; call once per
-  /// site and cache the id. Tags are interned — the same string always maps
-  /// to the same id, across threads.
+  /// Resolve (registering on first use) a tag. Call once per site and
+  /// cache the id. Tags are interned — the same string always maps to the
+  /// same id, across threads. A registered tag appears in every snapshot,
+  /// with value 0 until something is added to it.
   Id counter_id(std::string_view name);
   Id histogram_id(std::string_view name);
 
-  /// Hot path: bump the calling thread's cell for `id` by `n`.
+  /// Add `n` to counter `id`; n == 0 returns without locking.
   void add(Id id, u64 n);
-  /// Hot path: record one sample into the calling thread's histogram cells.
+  /// Record one sample into histogram `id`.
   void record(Id id, u64 value);
 
-  /// Merge retired shards + all live shards. Exact when writers are
-  /// quiescent; torn-free (but possibly lagging) otherwise.
+  /// Every registered tag with its current value.
   [[nodiscard]] Snapshot snapshot();
 
-  /// Zero every cell, live and retired. Test helper; requires quiescence.
+  /// Zero every value; registered tags stay registered. Test helper.
   void reset();
 
-  /// Implementation detail (public so counters.cpp's file-local helpers
-  /// can name it; not part of the API).
+ private:
   struct Impl;
 
- private:
   Registry() = default;
   Impl& impl();
 };

@@ -20,11 +20,11 @@ TEST(BootTimeAttack, OpenResolverPipelinePoisonsThenShiftsBootingClient) {
   bc.poison = world.default_poisoner_config();
   bc.trigger = BootTimeConfig::Trigger::kOpenResolver;
   BootTimeAttack attack(world.attacker(), bc);
-  // Success: the resolver hands out attacker NTP addresses for the pool.
-  attack.set_success_check([&] { return world.pool_a_poisoned(); });
 
   std::optional<AttackOutcome> outcome;
-  attack.run([&](const AttackOutcome& o) { outcome = o; });
+  // Success: the resolver hands out attacker NTP addresses for the pool.
+  attack.run([&] { return world.pool_a_poisoned(); },
+             [&](const AttackOutcome& o) { outcome = o; });
   world.run_for(Duration::minutes(30));
   ASSERT_TRUE(outcome.has_value());
   ASSERT_TRUE(outcome->success);
@@ -54,10 +54,10 @@ TEST(BootTimeAttack, SmtpTriggerVariant) {
   bc.trigger = BootTimeConfig::Trigger::kSmtp;
   bc.smtp_host = mail.stack->addr();
   BootTimeAttack attack(world.attacker(), bc);
-  attack.set_success_check([&] { return world.pool_a_poisoned(); });
 
   std::optional<AttackOutcome> outcome;
-  attack.run([&](const AttackOutcome& o) { outcome = o; });
+  attack.run([&] { return world.pool_a_poisoned(); },
+             [&](const AttackOutcome& o) { outcome = o; });
   world.run_for(Duration::minutes(30));
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->success);
@@ -73,9 +73,9 @@ TEST(BootTimeAttack, DeadlineExpiresAgainstHardenedResolver) {
   bc.trigger = BootTimeConfig::Trigger::kOpenResolver;
   bc.deadline = Duration::minutes(10);
   BootTimeAttack attack(world.attacker(), bc);
-  attack.set_success_check([&] { return world.pool_a_poisoned(); });
   std::optional<AttackOutcome> outcome;
-  attack.run([&](const AttackOutcome& o) { outcome = o; });
+  attack.run([&] { return world.pool_a_poisoned(); },
+             [&](const AttackOutcome& o) { outcome = o; });
   world.run_for(Duration::minutes(20));
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->success);
@@ -90,9 +90,9 @@ TEST(BootTimeAttack, LowAttackVolume) {
   bc.poison.spray_width = 8;
   bc.trigger = BootTimeConfig::Trigger::kOpenResolver;
   BootTimeAttack attack(world.attacker(), bc);
-  attack.set_success_check([&] { return world.pool_a_poisoned(); });
   std::optional<AttackOutcome> outcome;
-  attack.run([&](const AttackOutcome& o) { outcome = o; });
+  attack.run([&] { return world.pool_a_poisoned(); },
+             [&](const AttackOutcome& o) { outcome = o; });
   world.run_for(Duration::minutes(30));
   ASSERT_TRUE(outcome.has_value());
   ASSERT_TRUE(outcome->success);

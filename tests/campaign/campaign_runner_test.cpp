@@ -266,6 +266,27 @@ TEST(CampaignCli, ParsesJournalResumeAndOutFlags) {
   EXPECT_FALSE(parse({"--out"}).ok);
 }
 
+TEST(CampaignCli, ParsesDumpPredicatesAndRejectsOrphanQualifiers) {
+#if DNSTIME_OBS  // otherwise '--dump' itself is refused
+  CliOptions dump = parse({"--dump", "d", "--dump-on", "attack-failed"});
+  EXPECT_TRUE(dump.ok);
+  EXPECT_EQ(dump.config.dump_on, DumpOn::kAttackFailed);
+  EXPECT_EQ(parse({"--dump", "d"}).config.dump_on, DumpOn::kAuto);
+  for (const char* pred : {"auto", "error", "timeout", "always"}) {
+    EXPECT_TRUE(parse({"--dump", "d", "--dump-on", pred}).ok) << pred;
+  }
+#endif
+  EXPECT_FALSE(parse({"--dump", "d", "--dump-on", "sometimes"}).ok);
+  EXPECT_FALSE(parse({"--dump", "d", "--dump-on", "Always"}).ok);
+
+  // A qualifier without the flag it qualifies would be silently ignored.
+  EXPECT_FALSE(parse({"--dump-on", "always"}).ok);
+  EXPECT_FALSE(parse({"--trace-index", "3"}).ok);
+  CliOptions trace = parse({"--trace-index", "3", "--trace", "t.json"});
+  EXPECT_TRUE(trace.ok);
+  EXPECT_EQ(trace.config.trace_index, 3u);
+}
+
 TEST(CampaignCli, RejectsInProcessFlagsWithWorkers) {
   // Worker processes run one trial at a time and keep their counters, so
   // --threads would be silently ignored and --metrics would print an empty

@@ -451,7 +451,7 @@ TEST(WorkerProcesses, DumpsAndTraceMatchThreads) {
                                             synthetic_scenario("synthetic/a")};
   CampaignConfig threads{.seed = 5, .trials = 2, .threads = 2};
   threads.dump_dir = dir.path + "/dumps-threads";
-  threads.dump_on = "always";
+  threads.dump_on = DumpOn::kAlways;
   threads.trace_path = dir.path + "/trace-threads.json";
   threads.trace_index = 1;
   CampaignConfig workers = threads;

@@ -1,12 +1,13 @@
-// Registry contracts: per-thread sharding sums exactly, histograms merge
-// semantically (min/max survive the retired-shard fold), snapshots are
-// name-sorted, and counters recorded by threads that have exited are not
-// lost.
+// Registry contracts: concurrent adds sum exactly, histograms keep
+// count/sum/min/max/buckets whichever thread records, snapshots are exact
+// and name-sorted, every registered tag is reported even at 0, and counts
+// recorded by threads that have exited are not lost.
 #include "obs/counters.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -76,9 +77,9 @@ TEST(Registry, HistogramMinSurvivesThreadExit) {
   Registry& reg = Registry::instance();
   reg.reset();
   const Registry::Id id = reg.histogram_id("test.hist-retired");
-  // The small sample is recorded on a thread that exits (folding its shard
-  // into the retired accumulator) before the large sample is recorded
-  // live: a naive additive fold would destroy min/max.
+  // The small sample is recorded on a thread that exits before the large
+  // sample is recorded on this one: min and max must both survive, which
+  // an additive combination of the two threads' samples would break.
   std::thread t([&reg, id] { reg.record(id, 3); });
   t.join();
   reg.record(id, 900);
@@ -109,6 +110,67 @@ TEST(Registry, ResetZeroesLiveAndRetired) {
   t.join();
   reg.reset();
   EXPECT_EQ(reg.snapshot().counter("test.reset"), 0u);
+}
+
+TEST(Registry, ZeroAddTagsAreListedAndResetKeepsEveryTag) {
+  // A site that only ever adds 0 still registers its tag, so the
+  // --metrics key set does not depend on what a campaign happened to hit
+  // (net.udp_checksum_failures is 0 in every campaign).
+  Registry& reg = Registry::instance();
+  reg.reset();
+  reg.add(reg.counter_id("test.only-zero"), 0);
+  const Registry::Id hit = reg.counter_id("test.hit");
+  reg.add(hit, 4);
+  reg.record(reg.histogram_id("test.reset-hist"), 12);
+  const auto has_counter = [](const Snapshot& s, std::string_view name) {
+    for (const auto& [n, v] : s.counters) {
+      if (n == name) return true;
+    }
+    return false;
+  };
+  const Snapshot before = reg.snapshot();
+  EXPECT_TRUE(has_counter(before, "test.only-zero"));
+  EXPECT_EQ(before.counter("test.only-zero"), 0u);
+  EXPECT_EQ(before.counter("test.hit"), 4u);
+
+  reg.reset();
+  const Snapshot after = reg.snapshot();
+  ASSERT_EQ(after.counters.size(), before.counters.size());
+  ASSERT_EQ(after.histograms.size(), before.histograms.size());
+  for (std::size_t i = 0; i < after.counters.size(); ++i) {
+    EXPECT_EQ(after.counters[i].first, before.counters[i].first);
+    EXPECT_EQ(after.counters[i].second, 0u) << after.counters[i].first;
+  }
+  const HistogramData* h = after.histogram("test.reset-hist");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 0u);
+  EXPECT_EQ(h->sum, 0u);
+  EXPECT_EQ(h->max, 0u);
+  reg.add(hit, 1);
+  EXPECT_EQ(reg.snapshot().counter("test.hit"), 1u);
+}
+
+TEST(Registry, SnapshotsDuringConcurrentAddsNeverDecrease) {
+  Registry& reg = Registry::instance();
+  reg.reset();
+  const Registry::Id id = reg.counter_id("test.monotone");
+  constexpr int kThreads = 4;
+  constexpr u64 kPerThread = 20000;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&reg, id] {
+      for (u64 i = 0; i < kPerThread; ++i) reg.add(id, 1);
+    });
+  }
+  u64 last = 0;
+  for (int i = 0; i < 200; ++i) {
+    const u64 now = reg.snapshot().counter("test.monotone");
+    EXPECT_GE(now, last);
+    EXPECT_LE(now, kThreads * kPerThread);
+    last = now;
+  }
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(reg.snapshot().counter("test.monotone"), kThreads * kPerThread);
 }
 
 TEST(Snapshot, JsonIsNameSortedAndStable) {
