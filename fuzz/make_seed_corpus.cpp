@@ -18,6 +18,7 @@
 #include "dns/message.h"
 #include "net/icmp.h"
 #include "net/reassembly.h"
+#include "net/udp.h"
 #include "ntp/packet.h"
 
 namespace {
@@ -132,6 +133,57 @@ void icmp_frag_needed_seeds() {
                                       .orig_src = Ipv4Addr{1, 1, 1, 1},
                                       .orig_dst = Ipv4Addr{2, 2, 2, 2},
                                       .orig_protocol = kProtoIcmp}));
+}
+
+void udp_datagram_seeds() {
+  using namespace dnstime::net;
+  // Harness input: pseudo-header src and dst (4 bytes each), then the
+  // datagram.
+  auto seed = [](const std::string& name, Ipv4Addr src, Ipv4Addr dst,
+                 std::span<const u8> dgram) {
+    Bytes in;
+    for (Ipv4Addr a : {src, dst}) {
+      for (u8 b : a.octets()) in.push_back(b);
+    }
+    in.insert(in.end(), dgram.begin(), dgram.end());
+    write_seed("udp_datagram", name, in);
+  };
+
+  // The run-time attack's flood datagram: the trial victim's address
+  // forged onto a mode-3 query to World's first pool server.
+  const Ipv4Addr victim{10, 77, 0, 1};
+  const Ipv4Addr pool{10, 10, 0, 1};
+  ntp::NtpPacket query;
+  query.mode = ntp::Mode::kClient;
+  query.tx_time = 1.0;
+  const PacketBuf flood = encode_udp_buf(ntp::encode_ntp_buf(query), kNtpPort,
+                                         kNtpPort, victim, pool);
+  seed("flood-mode3", victim, pool, flood);
+
+  // A pool A-record answer from the nameserver to the resolver.
+  const Ipv4Addr ns{198, 51, 100, 53};
+  const Ipv4Addr resolver{10, 53, 0, 1};
+  dns::DnsMessage resp;
+  resp.id = 0xBEEF;
+  resp.qr = resp.aa = true;
+  resp.questions.push_back({dns::DnsName::from_string("pool.ntp.org"),
+                            dns::RrType::kA});
+  resp.answers.push_back(dns::make_a(dns::DnsName::from_string("pool.ntp.org"),
+                                     pool, 150));
+  seed("dns-response", ns, resolver,
+       encode_udp({.src_port = 53, .dst_port = 33333,
+                   .payload = dns::encode_dns(resp)},
+                  ns, resolver));
+
+  // Checksum 0: RFC 768's "no checksum", accepted unverified.
+  Bytes unchecked = flood.to_bytes();
+  unchecked[6] = unchecked[7] = 0;
+  seed("zero-checksum", victim, pool, unchecked);
+
+  // Link-layer padding past the UDP length is ignored.
+  Bytes padded = flood.to_bytes();
+  padded.insert(padded.end(), 6, 0);
+  seed("trailing-padding", victim, pool, padded);
 }
 
 void reassembly_seeds() {
@@ -260,6 +312,7 @@ int main(int argc, char** argv) {
   dns_seeds();
   ntp_seeds();
   icmp_frag_needed_seeds();
+  udp_datagram_seeds();
   reassembly_seeds();
   report_seeds();
   journal_seeds();

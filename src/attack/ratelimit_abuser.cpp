@@ -21,7 +21,19 @@ RateLimitAbuser::~RateLimitAbuser() { stop(); }
 
 void RateLimitAbuser::disrupt(Ipv4Addr server) {
   if (targets_.contains(server)) return;
-  targets_[server] = sim::EventHandle{};
+
+  // Mode-3 query, source address forged to the victim's. The source port
+  // is irrelevant: ntpd's `restrict limited` accounting is per address.
+  ntp::NtpPacket query;
+  query.mode = ntp::Mode::kClient;
+  query.tx_time = 1.0;  // arbitrary; the server echoes it to the victim
+
+  net::Ipv4Packet& forged = targets_[server].forged;
+  forged.src = victim_;
+  forged.dst = server;
+  forged.protocol = net::kProtoUdp;
+  forged.payload = net::encode_udp_buf(encode_ntp_buf(query), kNtpPort,
+                                       kNtpPort, victim_, server);
   flood_tick(server);
 }
 
@@ -31,7 +43,7 @@ void RateLimitAbuser::disrupt_all(const std::vector<Ipv4Addr>& servers) {
 
 void RateLimitAbuser::stop() {
   // det-lint: allow(unordered-iter) cancelling has no order-dependent effect.
-  for (auto& [server, handle] : targets_) handle.cancel();
+  for (auto& [server, target] : targets_) target.tick.cancel();
   targets_.clear();
 }
 
@@ -39,22 +51,11 @@ void RateLimitAbuser::flood_tick(Ipv4Addr server) {
   auto it = targets_.find(server);
   if (it == targets_.end()) return;
 
-  // Mode-3 query, source address forged to the victim's. The source port
-  // is irrelevant: ntpd's `restrict limited` accounting is per address.
-  ntp::NtpPacket query;
-  query.mode = ntp::Mode::kClient;
-  query.tx_time = 1.0;  // arbitrary; the server echoes it to the victim
-
-  net::Ipv4Packet pkt;
-  pkt.src = victim_;
-  pkt.dst = server;
-  pkt.protocol = net::kProtoUdp;
-  pkt.payload = net::encode_udp_buf(encode_ntp_buf(query), kNtpPort, kNtpPort,
-                                    victim_, server);
-  stack_.send_raw(std::move(pkt));
+  // The copy shares the pooled bytes; send_raw stamps its own origin.
+  stack_.send_raw(it->second.forged);
   spoofed_++;
 
-  it->second = stack_.loop().schedule_after(
+  it->second.tick = stack_.loop().schedule_after(
       kFloodSpacing, [this, server] { flood_tick(server); });
 }
 

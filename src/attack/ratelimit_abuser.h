@@ -2,6 +2,10 @@
 // rate-limit the *victim*, so the victim's genuine polls go unanswered and
 // the association looks dead — without any denial of service against the
 // server itself.
+//
+// The forged datagram never changes for a given server, so it is built and
+// checksummed once per target, in disrupt(); every flood tick sends a copy
+// that shares the pooled bytes and carries its own provenance stamp.
 #pragma once
 
 #include <unordered_map>
@@ -29,11 +33,16 @@ class RateLimitAbuser {
   [[nodiscard]] std::size_t active_targets() const { return targets_.size(); }
 
  private:
+  struct Target {
+    net::Ipv4Packet forged;  ///< victim -> server mode-3 query, sent as is
+    sim::EventHandle tick;
+  };
+
   void flood_tick(Ipv4Addr server);
 
   net::NetStack& stack_;
   Ipv4Addr victim_;
-  std::unordered_map<Ipv4Addr, sim::EventHandle> targets_;
+  std::unordered_map<Ipv4Addr, Target> targets_;
   u64 spoofed_ = 0;
 };
 

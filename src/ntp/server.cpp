@@ -2,6 +2,11 @@
 
 namespace dnstime::ntp {
 
+namespace {
+/// RFC 5905 fixed header: anything shorter is not an NTP query.
+constexpr std::size_t kNtpHeaderSize = 48;
+}  // namespace
+
 NtpServer::NtpServer(net::NetStack& stack, SystemClock& clock,
                      ServerConfig config)
     : stack_(stack),
@@ -30,31 +35,30 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
     return;
   }
 
-  NtpPacket query;
-  try {
-    query = decode_ntp(payload);
-  } catch (const DecodeError&) {
+  // ntpd's order: a datagram that is not a full mode-3 header never
+  // charges the source's rate limit, and only a query the limiter lets
+  // through is decoded, so a spoofed flood dies in the limiter unparsed.
+  if (payload.size() < kNtpHeaderSize ||
+      static_cast<Mode>(payload[0] & 0x7) != Mode::kClient) {
     return;
   }
-  if (query.mode != Mode::kClient) return;
 
   sim::Time now = stack_.now();
-  switch (limiter_.check(from.addr, now)) {
-    case RateLimiter::Action::kDrop:
-      dropped_++;
-      return;
-    case RateLimiter::Action::kKod: {
-      NtpPacket kod;
-      kod.mode = Mode::kServer;
-      kod.stratum = 0;
-      kod.refid = kKodRate;
-      kod.poll = query.poll;
-      kod.org_time = query.tx_time;
-      stack_.send_udp(from.addr, kNtpPort, from.port, encode_ntp_buf(kod));
-      return;
-    }
-    case RateLimiter::Action::kRespond:
-      break;
+  RateLimiter::Action action = limiter_.check(from.addr, now);
+  if (action == RateLimiter::Action::kDrop) {
+    dropped_++;
+    return;
+  }
+  const NtpPacket query = decode_ntp(payload);  // length checked above
+  if (action == RateLimiter::Action::kKod) {
+    NtpPacket kod;
+    kod.mode = Mode::kServer;
+    kod.stratum = 0;
+    kod.refid = kKodRate;
+    kod.poll = query.poll;
+    kod.org_time = query.tx_time;
+    stack_.send_udp(from.addr, kNtpPort, from.port, encode_ntp_buf(kod));
+    return;
   }
 
   // Every simulated server claims a stratum-1 source, like a typical pool

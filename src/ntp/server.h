@@ -8,6 +8,11 @@
 //  * refid leakage of the upstream ("system peer") address (§IV-B2b) — for
 //    servers that are simultaneously clients, the client model feeds the
 //    current upstream in via set_upstream().
+//
+// The server refuses before it parses: short and non-client datagrams are
+// dropped on their length and first byte, then the rate limiter decides,
+// and only a query that earns an answer or a KoD is decoded. A spoofed
+// flood therefore costs one limiter call per packet.
 #pragma once
 
 #include "net/netstack.h"

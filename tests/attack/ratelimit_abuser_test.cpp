@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ntp/server.h"
+#include "obs/provenance.h"
 #include "scenario/world.h"
 
 namespace dnstime::attack {
@@ -13,6 +14,27 @@ using scenario::WorldConfig;
 using sim::Duration;
 
 const Ipv4Addr kVictim{10, 77, 0, 1};
+
+/// A bare attacker -> target path with a tap on the target: no NTP server
+/// answers, so the flood's copies are the only packets sent or stamped.
+struct FloodPath {
+  sim::EventLoop loop;
+  sim::Network net{loop, Rng{41}};
+  net::NetStack attacker{
+      net, Ipv4Addr{10, 66, 0, 1},
+      net::StackConfig{.origin_module = OriginModule::kAttacker}, Rng{42}};
+  net::NetStack target{net, Ipv4Addr{10, 1, 0, 1}, net::StackConfig{},
+                       Rng{43}};
+  std::vector<sim::Time> arrived_at;
+  std::vector<net::Ipv4Packet> arrived;
+
+  FloodPath() {
+    target.add_packet_tap([this](const net::Ipv4Packet& pkt) {
+      arrived_at.push_back(loop.now());
+      arrived.push_back(pkt);
+    });
+  }
+};
 
 TEST(RateLimitAbuser, VictimBecomesLimitedAtTargetServer) {
   World world;  // all pool servers rate-limit
@@ -106,6 +128,79 @@ TEST(RateLimitAbuser, StopCeasesFlooding) {
   EXPECT_EQ(abuser.packets_spoofed(), sent);
   EXPECT_EQ(abuser.active_targets(), 0u);
 }
+
+TEST(RateLimitAbuser, EveryCopyIsTheFreshlyEncodedQuery) {
+  FloodPath path;
+  RateLimitAbuser abuser(path.attacker, kVictim);
+  const Ipv4Addr server = path.target.addr();
+  abuser.disrupt(server);
+  path.loop.run_for(Duration::seconds(3));
+
+  ntp::NtpPacket query;
+  query.mode = ntp::Mode::kClient;
+  query.tx_time = 1.0;
+  const PacketBuf fresh = net::encode_udp_buf(
+      ntp::encode_ntp_buf(query), kNtpPort, kNtpPort, kVictim, server);
+  ASSERT_GE(path.arrived.size(), 7u);
+  for (const net::Ipv4Packet& pkt : path.arrived) {
+    EXPECT_EQ(pkt.src, kVictim);
+    EXPECT_EQ(pkt.dst, server);
+    EXPECT_FALSE(pkt.is_fragment());
+    EXPECT_EQ(pkt.payload, fresh);
+  }
+}
+
+TEST(RateLimitAbuser, OneDatagramPer400msEvenAfterRepeatedDisrupt) {
+  FloodPath path;
+  RateLimitAbuser abuser(path.attacker, kVictim);
+  const Ipv4Addr server = path.target.addr();
+  abuser.disrupt(server);
+  path.loop.run_for(Duration::millis(1000));
+  abuser.disrupt(server);  // already flooded: must not start a 2nd stream
+  path.loop.run_for(Duration::millis(2000));
+
+  EXPECT_EQ(abuser.active_targets(), 1u);
+  ASSERT_GE(path.arrived_at.size(), 7u);
+  for (std::size_t i = 1; i < path.arrived_at.size(); ++i) {
+    EXPECT_EQ(path.arrived_at[i] - path.arrived_at[i - 1],
+              Duration::millis(400))
+        << "arrival " << i;
+  }
+  // Every packet sent has arrived except any still on the 10 ms link.
+  EXPECT_LE(abuser.packets_spoofed() - path.arrived.size(), 1u);
+}
+
+#if DNSTIME_OBS
+TEST(RateLimitAbuser, SharedBytesDoNotShareTheStamp) {
+  // Each copy is stamped as it leaves: spoofed, attacker-tagged, at its
+  // own send time, and with the next draw of the trial's provenance
+  // stream (a second recorder on the same stream predicts every seq).
+  obs::FlightRecorder flight;
+  flight.set_meta("test/flood-stamps", 1, 0, 0xF100D);
+  obs::FlightRecorder expected;
+  expected.set_meta("test/flood-stamps", 1, 0, 0xF100D);
+  obs::ScopedFlightRecorder install(&flight);
+
+  FloodPath path;
+  RateLimitAbuser abuser(path.attacker, kVictim);
+  abuser.disrupt(path.target.addr());
+  path.loop.run_for(Duration::seconds(3));
+
+  ASSERT_GE(path.arrived.size(), 7u);
+  i64 last_ts = -1;
+  for (const net::Ipv4Packet& pkt : path.arrived) {
+    const Origin& o = pkt.payload.origin();
+    EXPECT_TRUE(o.spoofed());
+    EXPECT_EQ(o.module, OriginModule::kAttacker);
+    EXPECT_GT(o.ts_ns, last_ts);
+    EXPECT_EQ(o.seq,
+              expected.stamp(o.ts_ns, OriginModule::kAttacker, Origin::kSpoofed)
+                  .seq);
+    last_ts = o.ts_ns;
+  }
+  EXPECT_EQ(flight.stamps(), abuser.packets_spoofed());
+}
+#endif
 
 }  // namespace
 }  // namespace dnstime::attack

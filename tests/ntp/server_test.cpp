@@ -71,6 +71,39 @@ TEST(NtpServer, RateLimitedClientGetsKodThenNothing) {
   EXPECT_GT(server.dropped_rate_limited(), 0u);
 }
 
+TEST(NtpServer, ShortAndNonClientDatagramsNeverChargeTheLimiter) {
+  // With burst = 1, one charged arrival would empty the bucket, so the
+  // genuine query a second later would get a KoD (or nothing). Short and
+  // mode-4 datagrams must be refused before the limiter is asked.
+  ServerWorld w;
+  ServerConfig cfg;
+  cfg.rate_limit.enabled = true;
+  cfg.rate_limit.burst = 1;
+  NtpServer server(w.server_stack, w.server_clock, cfg);
+
+  NtpPacket client;
+  client.mode = Mode::kClient;
+  Bytes short_query = encode_ntp(client);
+  short_query.resize(47);
+  NtpPacket reply;
+  reply.mode = Mode::kServer;
+  reply.stratum = 2;
+  const std::vector<Bytes> junk = {
+      short_query, encode_ntp(reply),
+      Bytes{0x23}};  // a client LVM octet and nothing else
+  for (int i = 0; i < 3; ++i) {
+    for (const Bytes& dgram : junk) {
+      w.client_stack.send_udp(w.server_stack.addr(), 4000, kNtpPort, dgram);
+    }
+  }
+  w.loop.run_for(Duration::seconds(1));
+
+  auto resp = w.query_once();
+  ASSERT_TRUE(resp);
+  EXPECT_FALSE(resp->is_kod());
+  EXPECT_EQ(server.dropped_rate_limited(), 0u);
+}
+
 TEST(NtpServer, RefidLeaksUpstreamAddress) {
   ServerWorld w;
   NtpServer server(w.server_stack, w.server_clock, ServerConfig{});
