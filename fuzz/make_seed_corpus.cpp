@@ -16,7 +16,9 @@
 #include "campaign/report.h"
 #include "campaign/store/journal.h"
 #include "dns/message.h"
+#include "net/fragmentation.h"
 #include "net/icmp.h"
+#include "net/ipv4.h"
 #include "net/reassembly.h"
 #include "net/udp.h"
 #include "ntp/packet.h"
@@ -186,6 +188,58 @@ void udp_datagram_seeds() {
   seed("trailing-padding", victim, pool, padded);
 }
 
+void ipv4_packet_seeds() {
+  using namespace dnstime::net;
+  // World's addresses: the trial victim, the first pool server, the pool
+  // nameserver, the shared resolver and the attacker host.
+  const Ipv4Addr victim{10, 77, 0, 1};
+  const Ipv4Addr pool{10, 10, 0, 1};
+  const Ipv4Addr ns{198, 51, 100, 53};
+  const Ipv4Addr resolver{10, 53, 0, 1};
+  const Ipv4Addr attacker{6, 6, 6, 6};
+
+  // A client's mode-3 NTP query, unfragmented.
+  ntp::NtpPacket query;
+  query.mode = ntp::Mode::kClient;
+  query.tx_time = 1.0;
+  Ipv4Packet ntp_query;
+  ntp_query.src = victim;
+  ntp_query.dst = pool;
+  ntp_query.id = 0x0102;
+  ntp_query.payload = encode_udp_buf(ntp::encode_ntp_buf(query), kNtpPort,
+                                     kNtpPort, victim, pool);
+  write_seed("ipv4_packet", "ntp-mode3", encode(ntp_query));
+
+  // A pool answer the nameserver fragments to the attack's 296-byte MTU:
+  // the first fragment carries the UDP header, and the last one is the
+  // part the attacker forges (§III-3).
+  dns::DnsMessage resp;
+  resp.id = 0xBEEF;
+  resp.qr = resp.aa = true;
+  resp.questions.push_back({dns::DnsName::from_string("pool.ntp.org"),
+                            dns::RrType::kA});
+  for (u32 i = 0; i < 20; ++i) {
+    resp.answers.push_back(dns::make_a(
+        dns::DnsName::from_string("pool.ntp.org"), Ipv4Addr{0x0A0A0001u + i},
+        150));
+  }
+  Ipv4Packet answer;
+  answer.src = ns;
+  answer.dst = resolver;
+  answer.id = 0x4242;
+  answer.payload = encode_udp({.src_port = 53, .dst_port = 33333,
+                               .payload = dns::encode_dns(resp)},
+                              ns, resolver);
+  const std::vector<Ipv4Packet> frags = fragment(answer, 296);
+  write_seed("ipv4_packet", "dns-first-fragment", encode(frags.front()));
+  write_seed("ipv4_packet", "dns-last-fragment", encode(frags.back()));
+
+  // The §III-1 forgery as it goes on the wire: the attacker tells the
+  // nameserver that its packets to the resolver need 296-byte fragments.
+  write_seed("ipv4_packet", "icmp-frag-needed",
+             encode(make_frag_needed_packet(attacker, ns, ns, resolver, 296)));
+}
+
 void reassembly_seeds() {
   // Scripts in the fuzz_reassembly op format (see that harness's header).
   auto frag = [](std::vector<u8>& s, u8 op, u8 id, u16 off_units, u8 len) {
@@ -313,6 +367,7 @@ int main(int argc, char** argv) {
   ntp_seeds();
   icmp_frag_needed_seeds();
   udp_datagram_seeds();
+  ipv4_packet_seeds();
   reassembly_seeds();
   report_seeds();
   journal_seeds();

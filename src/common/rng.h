@@ -72,8 +72,6 @@ class Rng {
   /// Derive an independent child stream (for per-component determinism).
   [[nodiscard]] Rng fork() { return Rng(uniform(0, ~u64{0})); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

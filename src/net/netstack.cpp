@@ -64,14 +64,10 @@ u16 NetStack::path_mtu(Ipv4Addr dst) const {
   return it == path_mtu_.end() ? kEthernetMtu : it->second;
 }
 
-u16 NetStack::next_ipid(Ipv4Addr dst) {
+u16 NetStack::next_ipid() {
   switch (config_.ipid_mode) {
     case IpidMode::kGlobalSequential:
       return ipid_global_++;
-    case IpidMode::kPerDestination: {
-      auto [it, inserted] = ipid_per_dst_.try_emplace(dst, rng_.next_u16());
-      return it->second++;
-    }
     case IpidMode::kRandom:
       return rng_.next_u16();
   }
@@ -83,7 +79,7 @@ void NetStack::send_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
   Ipv4Packet pkt;
   pkt.src = addr_;
   pkt.dst = dst;
-  pkt.id = next_ipid(dst);
+  pkt.id = next_ipid();
   pkt.protocol = kProtoUdp;
   pkt.payload = encode_udp_buf(std::move(payload), src_port, dst_port, addr_,
                                dst);
@@ -108,7 +104,7 @@ void NetStack::send_udp_fragmented(Ipv4Addr dst, u16 src_port, u16 dst_port,
   Ipv4Packet pkt;
   pkt.src = addr_;
   pkt.dst = dst;
-  pkt.id = next_ipid(dst);
+  pkt.id = next_ipid();
   pkt.protocol = kProtoUdp;
   pkt.payload = encode_udp_buf(std::move(payload), src_port, dst_port, addr_,
                                dst);

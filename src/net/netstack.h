@@ -29,7 +29,6 @@ namespace dnstime::net {
 
 enum class IpidMode {
   kGlobalSequential,  ///< one counter for all destinations (predictable)
-  kPerDestination,    ///< per-destination counters (harder to probe)
   kRandom,            ///< random per packet (prediction infeasible)
 };
 
@@ -125,7 +124,7 @@ class NetStack : public sim::PacketSink {
  private:
   void handle_transport(const Ipv4Packet& pkt);
   void handle_icmp(const Ipv4Packet& pkt);
-  [[nodiscard]] u16 next_ipid(Ipv4Addr dst);
+  [[nodiscard]] u16 next_ipid();
   void schedule_expiry();
 
   sim::Network& net_;
@@ -137,7 +136,6 @@ class NetStack : public sim::PacketSink {
   std::map<u64, PacketTap> taps_;  ///< by token: fire in registration order
   u64 next_tap_token_ = 1;
   std::unordered_map<Ipv4Addr, u16> path_mtu_;
-  std::unordered_map<Ipv4Addr, u16> ipid_per_dst_;
   u16 ipid_global_;
   u64 udp_rx_ = 0;
   u64 udp_bad_csum_ = 0;

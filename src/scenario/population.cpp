@@ -1,6 +1,7 @@
 #include "scenario/population.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -47,10 +48,13 @@ ClientPopulation::ClientPopulation(World& world, PopulationConfig config)
 
   // Stagger the first polls uniformly across one poll interval so the
   // fleet settles into ~clients/kPollSeconds cohorts per grid second
-  // instead of one thundering herd.
+  // instead of one thundering herd. Delays are drawn in client order; each
+  // second's cohort is one push.
+  std::vector<std::vector<u32>> cohorts(kPollSeconds);
   for (u32 i = 0; i < n; ++i) {
-    arm(i, 1 + rng_.uniform(0, kPollSeconds - 1));
+    cohorts[rng_.uniform(0, kPollSeconds - 1)].push_back(i);
   }
+  for (u64 d = 0; d < kPollSeconds; ++d) arm(std::move(cohorts[d]), 1 + d);
   rearm_driver();
 }
 
@@ -77,15 +81,27 @@ u64 ClientPopulation::now_s() const {
   return ns <= 0 ? 0 : static_cast<u64>(ns) / 1'000'000'000u;
 }
 
-void ClientPopulation::arm(u32 i, u64 delay_s) {
-  queue_.push(at_second(now_s() + delay_s), i);
+void ClientPopulation::arm(std::vector<u32> batch, u64 delay_s) {
+  queue_.push(at_second(now_s() + delay_s), std::move(batch));
 }
 
-void ClientPopulation::backoff(u32 i) {
-  const u32 next =
-      std::min<u32>(static_cast<u32>(poll_s_[i]) * 2u, kMaxPollSeconds);
-  poll_s_[i] = static_cast<u16>(next);
-  arm(i, next);
+void ClientPopulation::backoff(std::vector<u32> batch) {
+  for (u32 i : batch) {
+    poll_s_[i] = static_cast<u16>(
+        std::min<u32>(static_cast<u32>(poll_s_[i]) * 2u, kMaxPollSeconds));
+  }
+  // Intervals are kPollSeconds times a power of two, so a batch splits
+  // into at most four groups, each a different second.
+  while (!batch.empty()) {
+    const u16 interval = poll_s_[batch.front()];
+    std::vector<u32> group;
+    std::vector<u32> rest;
+    std::partition_copy(batch.begin(), batch.end(), std::back_inserter(group),
+                        std::back_inserter(rest),
+                        [&](u32 i) { return poll_s_[i] == interval; });
+    arm(std::move(group), interval);
+    batch = std::move(rest);
+  }
 }
 
 void ClientPopulation::rearm_driver() {
@@ -171,12 +187,14 @@ void ClientPopulation::begin_exchange(Ipv4Addr server,
   ntp::poll_server(
       *gw->stack, gw->clock, server,
       [this, clients](const ntp::PollResult& r) {
+        // poll_server calls back once, so the list can move out.
         if (r.responded) {
           for (u32 i : *clients) apply_offset(i, r.offset);
+          arm(std::move(*clients), kPollSeconds);
         } else {
           (r.kod ? metrics_.kod_polls : metrics_.timeout_polls) +=
               clients->size();
-          for (u32 i : *clients) backoff(i);
+          backoff(std::move(*clients));
         }
         rearm_driver();
       });
@@ -205,10 +223,9 @@ void ClientPopulation::on_dns(const std::vector<dns::ResourceRecord>& answers) {
   if (a_records.empty()) {
     // Resolution failed: keep any stale assignment, back the poll off and
     // retry DNS on the next fire (the expiry stays in the past).
-    for (u32 i : waiters) backoff(i);
+    backoff(std::move(waiters));
   } else {
     const u64 s = now_s();
-    const sim::Time now = world_.loop().now();
     // Refresh the fleet-level answer cache; later cohorts are assigned
     // from it without re-querying until the shortest A TTL rolls over.
     cached_a_.clear();
@@ -222,8 +239,9 @@ void ClientPopulation::on_dns(const std::vector<dns::ResourceRecord>& answers) {
     for (u32 i : waiters) {
       server_[i] = cached_a_[cache_next_++ % cached_a_.size()];
       dns_expiry_s_[i] = cache_expiry_s_;
-      queue_.push(now, i);  // poll immediately on the fresh assignment
     }
+    // Poll immediately on the fresh assignment.
+    queue_.push(world_.loop().now(), std::move(waiters));
   }
   maybe_resolve();  // waiters queued while the query was in flight
   rearm_driver();
@@ -252,7 +270,6 @@ void ClientPopulation::apply_offset(u32 i, double server_offset) {
       break;
   }
   poll_s_[i] = kPollSeconds;  // healthy again
-  arm(i, poll_s_[i]);
 }
 
 double ClientPopulation::fraction_shifted(double threshold) const {

@@ -5,10 +5,11 @@
 // allocations per client before the first packet moves. ClientPopulation
 // instead keeps the whole fleet as flat struct-of-arrays state — one
 // server address, one accumulated clock shift, one DNS expiry, one poll
-// interval and one flags byte per client — and drives every poll deadline
-// through a sim::SecondCalendar with the client index as the payload
-// (src/sim/second_calendar.h): a ring of per-second FIFO buckets, O(1)
-// push and pop, 8 B per armed timer, no callbacks.
+// interval and one flags byte per client — and queues every poll deadline
+// in a sim::SecondCalendar (src/sim/second_calendar.h): a ring of
+// per-second FIFO buckets of batches. One push carries every client that
+// one exchange, back-off or DNS answer re-arms for the same instant, so a
+// queued client costs a 4-byte index and no callback.
 //
 // The fleet still speaks the real protocols. Clients whose polls land in
 // the same whole second of simulated time (deadlines are quantised to a
@@ -105,8 +106,9 @@ class ClientPopulation {
   /// Fraction of clients currently assigned an attacker NTP server.
   [[nodiscard]] double fraction_on_attacker() const;
 
-  /// Resident heap bytes of fleet state (SoA vectors + calendar),
-  /// amortised per client. The population budget is <= 40 B/client.
+  /// Resident heap bytes of fleet state (SoA vectors, calendar batches,
+  /// scratch and per-server lists), amortised per client.
+  /// tests/scenario/population_test.cpp holds it to <= 28 B/client.
   [[nodiscard]] double resident_bytes_per_client() const;
 
  private:
@@ -120,10 +122,13 @@ class ClientPopulation {
   }
   [[nodiscard]] u64 now_s() const;
 
-  /// Arm client i's next poll `delay_s` (1..kMaxPollSeconds) whole seconds
-  /// from now (grid-quantised, so co-due clients batch).
-  void arm(u32 i, u64 delay_s);
-  void backoff(u32 i);
+  /// Queue the next poll of every client in `batch` `delay_s`
+  /// (1..kMaxPollSeconds) whole seconds from now, as one calendar push
+  /// (grid-quantised, so co-due clients batch).
+  void arm(std::vector<u32> batch, u64 delay_s);
+  /// Double each client's poll interval (up to kMaxPollSeconds) and arm
+  /// it: one push per distinct interval, each in batch order.
+  void backoff(std::vector<u32> batch);
 
   /// Driver: pops every due calendar entry, groups the due clients by
   /// server, sends the representative exchanges / the shared DNS query,
@@ -164,7 +169,7 @@ class ClientPopulation {
   std::vector<u16> poll_s_;       ///< current poll interval, seconds
   std::vector<u8> flags_;
 
-  sim::SecondCalendar queue_;  ///< payload = client index
+  sim::SecondCalendar queue_;  ///< payloads = client indices
   sim::EventHandle driver_;
   sim::Time driver_at_;
   bool driver_armed_ = false;

@@ -1,16 +1,18 @@
 // Per-second calendar queue — the fleet-scale sibling of EventLoop.
 //
-// scenario::ClientPopulation arms one poll deadline per client. Every
-// deadline is a whole second at most max_poll_s ahead, or "now" when a
-// DNS answer lands. For that push pattern a ring of per-second FIFO
-// buckets is an exact priority queue: a grid push for second s happens
-// strictly before s, and an off-grid push happens at its own time, so each
-// bucket fills in (time, push-order) order and popping the earliest bucket
-// front to back pops in (time, seq) order — what a heap would pop, at O(1)
-// per push and pop. pop_due() drains everything due in one pass per
-// second. tests/sim/second_calendar_test.cpp checks each drain against a
-// std::priority_queue; src/sim/README.md has the contract and when to use
-// the heap instead.
+// scenario::ClientPopulation queues its clients' poll deadlines here in
+// batches: one push carries every client index that one call re-arms for
+// the same instant. Every deadline is a whole second at most max_poll_s
+// ahead, or "now" when a DNS answer lands. For that push pattern a ring of
+// per-second FIFO buckets of batches is an exact priority queue: a grid
+// push for second s happens strictly before s, and an off-grid push
+// happens at its own time, so each bucket fills in (time, push-order)
+// order and popping the earliest bucket front to back pops in (time, seq)
+// order — what a heap would pop if each element of a batch had its own
+// consecutive seq — at O(1) per batch. pop_due() drains everything due in
+// one pass per second. tests/sim/second_calendar_test.cpp checks each
+// drain against a std::priority_queue; src/sim/README.md has the contract
+// and when to use the heap instead.
 #pragma once
 
 #include <algorithm>
@@ -36,10 +38,12 @@ class SecondCalendar {
   explicit SecondCalendar(u32 horizon_s)
       : ring_(std::bit_ceil(u64{horizon_s} + 2)), mask_(ring_.size() - 1) {}
 
-  /// Queue `payload` for `at`. Throws std::logic_error, rather than
-  /// reordering, when `at` is before the last pop, before the newest entry
-  /// of its own second, or a ring or more past the earliest queued second.
-  void push(Time at, u32 payload) {
+  /// Queue every payload of `batch` for `at`, in batch order; an empty
+  /// batch is a no-op. Throws std::logic_error, rather than reordering,
+  /// when `at` is before the last pop, before the newest batch of its own
+  /// second, or a ring or more past the earliest queued second.
+  void push(Time at, std::vector<u32> batch) {
+    if (batch.empty()) return;
     if (at < floor_) {
       throw std::logic_error("SecondCalendar: push into the past");
     }
@@ -51,77 +55,85 @@ class SecondCalendar {
     if (hi - lo > mask_) {
       throw std::logic_error("SecondCalendar: push beyond the ring");
     }
-    std::vector<Slot>& slots = ring_[s & mask_].slots;
+    std::vector<Batch>& batches = ring_[s & mask_].batches;
     const auto ns = static_cast<u32>(at.ns() % kNsPerS);
-    if (!slots.empty() && ns < slots.back().ns) {
+    if (!batches.empty() && ns < batches.back().ns) {
       throw std::logic_error("SecondCalendar: push before its second's tail");
     }
-    slots.push_back({payload, ns});
+    size_ += batch.size();
+    batches.push_back({ns, std::move(batch)});
     cur_ = lo;
     hi_ = hi;
-    size_++;
   }
 
   /// Earliest entry by (at, push order), or nullopt when empty.
   [[nodiscard]] std::optional<Entry> peek() const {
     if (size_ == 0) return std::nullopt;
     const Bucket& b = ring_[cur_ & mask_];
-    const Slot& slot = b.slots[b.head];
-    return Entry{Time::from_ns(static_cast<i64>(cur_) * kNsPerS + slot.ns),
-                 slot.payload};
+    const Batch& batch = b.batches[b.head];
+    return Entry{Time::from_ns(static_cast<i64>(cur_) * kNsPerS + batch.ns),
+                 batch.payloads.front()};
   }
 
-  /// Append the payload of every entry due at or before `now` to `out`, in
+  /// Append the payloads of every batch due at or before `now` to `out`, in
   /// (at, push) order: one front-to-back pass over each due bucket, which
-  /// stops at the first entry past `now`. A drained second frees its
-  /// bucket, so memory follows the live entries, and the cursor moves on to
-  /// the next queued second.
+  /// stops at the first batch past `now`. A popped batch frees its
+  /// payloads and a drained second its bucket, so memory follows the live
+  /// entries; the cursor then moves on to the next queued second.
   void pop_due(Time now, std::vector<u32>& out) {
     while (size_ != 0) {
       const i64 base = static_cast<i64>(cur_) * kNsPerS;
       if (base > now.ns()) return;
       Bucket& b = ring_[cur_ & mask_];
-      const i64 due_ns = now.ns() - base;  // entries past this stay queued
+      const i64 due_ns = now.ns() - base;  // batches past this stay queued
       std::size_t h = b.head;
-      while (h < b.slots.size() && b.slots[h].ns <= due_ns) {
-        out.push_back(b.slots[h++].payload);
+      while (h < b.batches.size() && b.batches[h].ns <= due_ns) {
+        std::vector<u32> payloads = std::move(b.batches[h++].payloads);
+        out.insert(out.end(), payloads.begin(), payloads.end());
+        size_ -= payloads.size();
       }
       if (h == b.head) return;
-      floor_ = Time::from_ns(base + b.slots[h - 1].ns);
-      size_ -= h - b.head;
-      if (h < b.slots.size()) {
+      floor_ = Time::from_ns(base + b.batches[h - 1].ns);
+      if (h < b.batches.size()) {
         b.head = h;
         return;
       }
-      std::vector<Slot>().swap(b.slots);
+      std::vector<Batch>().swap(b.batches);
       b.head = 0;
       if (size_ != 0) {
         do cur_++;
-        while (ring_[cur_ & mask_].slots.empty());
+        while (ring_[cur_ & mask_].batches.empty());
       }
     }
   }
 
+  /// Queued payloads, across all batches.
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Heap bytes held by the ring and its buckets (capacity, not size).
+  /// Heap bytes held by the ring, its buckets and their batches (capacity,
+  /// not size).
   [[nodiscard]] std::size_t memory_bytes() const {
     std::size_t bytes = ring_.capacity() * sizeof(Bucket);
-    for (const Bucket& b : ring_) bytes += b.slots.capacity() * sizeof(Slot);
+    for (const Bucket& b : ring_) {
+      bytes += b.batches.capacity() * sizeof(Batch);
+      for (const Batch& batch : b.batches) {
+        bytes += batch.payloads.capacity() * sizeof(u32);
+      }
+    }
     return bytes;
   }
 
  private:
   static constexpr i64 kNsPerS = 1'000'000'000;
 
-  struct Slot {
-    u32 payload;
+  struct Batch {
     u32 ns;  ///< nanoseconds past the bucket's second
+    std::vector<u32> payloads;  ///< non-empty until popped
   };
   struct Bucket {
-    std::vector<Slot> slots;  ///< push order; empty once drained
-    std::size_t head = 0;     ///< next slot to pop
+    std::vector<Batch> batches;  ///< push order; empty once drained
+    std::size_t head = 0;        ///< next batch to pop
   };
 
   std::vector<Bucket> ring_;

@@ -2,7 +2,7 @@
 // worlds, only wider. The pins here are the population contract:
 // determinism across runs, a genuine shared-resolver poisoning that
 // migrates with DNS TTL rollover, the rate-limit herd effect, and the
-// <= 40 B/client memory budget.
+// <= 28 B/client memory budget.
 #include "scenario/population.h"
 
 #include <gtest/gtest.h>
@@ -130,6 +130,12 @@ TEST(ClientPopulation, HerdTripsRateLimitersOnASmallPool) {
       << "a herd on a tiny fully-rate-limiting pool must hit the limiters";
   EXPECT_EQ(pin(pop), (FleetPin{12'061, 506, 1'689, 5'044, 4, 292, 0, 0, 0,
                                 std::bit_cast<u64>(0.0)}));
+  // Later, clients KoD'd a different number of times share exchanges, so
+  // one failed exchange holds several poll intervals and each client must
+  // back off from its own.
+  world.run_for(Duration::seconds(64 * 15));
+  EXPECT_EQ(pin(pop), (FleetPin{36'186, 1'423, 7'070, 9'210, 12, 867, 0, 0, 0,
+                                std::bit_cast<u64>(0.0)}));
 }
 
 TEST(ClientPopulation, ResidentMemoryStaysUnderBudget) {
@@ -138,11 +144,12 @@ TEST(ClientPopulation, ResidentMemoryStaysUnderBudget) {
   World world(wc);
   ClientPopulation pop(world, small_config(50'000, 21));
   world.run_for(Duration::seconds(150));
-  // Measured 30.8 B/client: 19 B of SoA state, 8 B per calendar slot plus
-  // bucket growth slack, the scratch vectors and the per-server poll lists.
-  EXPECT_LE(pop.resident_bytes_per_client(), 40.0)
-      << "flat SoA state plus calendar slots must stay within the "
-         "40 B/client population budget";
+  // Measured 24.8 B/client: 19 B of SoA state, a 4-byte index per queued
+  // client plus one header per calendar batch, the scratch vectors and the
+  // per-server poll lists.
+  EXPECT_LE(pop.resident_bytes_per_client(), 28.0)
+      << "flat SoA state plus calendar batches must stay within the "
+         "28 B/client population budget";
   EXPECT_GT(pop.metrics().polls, 0u);
 }
 
