@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/progress_merge.h"
 #include "campaign/report.h"
 #include "campaign/store/journal.h"
 #include "dns/message.h"
@@ -355,6 +356,41 @@ void journal_seeds() {
   write_seed("journal_reader", "record-error", rec2_input);
 }
 
+/// Progress seeds start with the harness's stream byte: 0 feeds every line
+/// to one stream, 1 cuts the input into two.
+void progress_merge_seeds() {
+  using dnstime::campaign::ProgressLine;
+  auto line = [](const std::string& scenario, u32 trial, bool success,
+                 u32 done, u32 successes, u64 campaign_done) {
+    ProgressLine l;
+    l.trial = {scenario, trial, success, done, 4, successes};
+    l.campaign = {campaign_done, 8, 0.25 * static_cast<double>(campaign_done)};
+    return l.encode();
+  };
+  // A threads campaign: one file, scenarios interleaved.
+  write_seed("progress_merge", "threads",
+             std::string(1, '\0') + line("sweep/mtu-296", 0, true, 1, 1, 1) +
+                 line("sweep/mtu-576", 0, false, 1, 0, 2) +
+                 line("sweep/mtu-296", 1, true, 2, 2, 3));
+  // Two worker processes' lines, one half of the input each: the shared
+  // campaign_done counter interleaves, so a stream carries gaps and the
+  // older value.
+  write_seed("progress_merge", "worker",
+             std::string(1, '\1') + line("table2/ntpd-p1", 0, true, 1, 1, 1) +
+                 line("table2/ntpd-p1", 2, true, 2, 2, 4) +
+                 line("table2/ntpd-p1", 1, false, 1, 0, 2) +
+                 line("table2/ntpd-p1", 3, true, 2, 1, 3));
+  // A line cut mid-key by a reader that caught the writer mid-write.
+  const std::string torn = line("table2/chrony", 0, true, 1, 1, 1);
+  write_seed("progress_merge", "torn",
+             std::string(1, '\0') + line("table2/chrony", 1, true, 2, 2, 2) +
+                 torn.substr(0, torn.find("\"successes\"") + 5));
+  // Names are escaped on write: quote, backslash, newline, a control byte.
+  write_seed("progress_merge", "escaped-name",
+             std::string(1, '\0') +
+                 line("odd/\"quoted\"\\name\nline\x01", 0, true, 1, 1, 1));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -371,5 +407,6 @@ int main(int argc, char** argv) {
   reassembly_seeds();
   report_seeds();
   journal_seeds();
+  progress_merge_seeds();
   return 0;
 }

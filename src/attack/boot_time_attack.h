@@ -38,8 +38,6 @@ class BootTimeAttack {
            std::function<void(const AttackOutcome&)> done);
   void stop();
 
-  [[nodiscard]] CachePoisoner& poisoner() { return poisoner_; }
-
  private:
   void tick();
   void fire_trigger();

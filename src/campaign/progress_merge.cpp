@@ -1,5 +1,6 @@
 #include "campaign/progress_merge.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -9,9 +10,10 @@
 namespace dnstime::campaign {
 namespace {
 
-/// Finds `"key":` in a JSON line and parses the number after it. The
-/// progress writers emit flat objects with unescaped keys, so a plain
-/// substring probe is exact here.
+/// Finds `"key":` in a JSON line and parses the finite number after it
+/// (strtod also reads `nan` and `inf`, which no writer emits). The progress
+/// writers emit flat objects with unescaped keys, so a plain substring
+/// probe is exact here.
 bool find_number(const std::string& line, const char* key, double& out) {
   std::string probe = "\"";
   probe += key;
@@ -21,14 +23,20 @@ bool find_number(const std::string& line, const char* key, double& out) {
   const char* start = line.c_str() + pos + probe.size();
   char* end = nullptr;
   const double v = std::strtod(start, &end);
-  if (end == start) return false;
+  if (end == start || !std::isfinite(v)) return false;
   out = v;
   return true;
 }
 
+/// A count is an integer a double holds exactly, in [0, 2^53]; any other
+/// value reads as a missing key, so the cast below is always defined.
 bool find_u64(const std::string& line, const char* key, u64& out) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
   double v = 0.0;
-  if (!find_number(line, key, v) || v < 0.0) return false;
+  if (!find_number(line, key, v) || !(v >= 0.0 && v <= kMaxExact) ||
+      v != std::floor(v)) {
+    return false;
+  }
   out = static_cast<u64>(v);
   return true;
 }
@@ -175,8 +183,7 @@ ProgressMerger::Snapshot ProgressMerger::snapshot() const {
     if (row.done > 0) {
       row.rate =
           static_cast<double>(row.successes) / static_cast<double>(row.done);
-      const WilsonInterval ci = wilson_interval(
-          static_cast<u32>(row.successes), static_cast<u32>(row.done));
+      const WilsonInterval ci = wilson_interval(row.successes, row.done);
       row.wilson_low = ci.low;
       row.wilson_high = ci.high;
     }

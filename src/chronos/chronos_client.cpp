@@ -33,7 +33,7 @@ void ChronosClient::update_once(int retries_left) {
     SelectionResult result = chronos_trim_select(std::move(offsets));
     if (result.accepted) {
       accepted_++;
-      clock_.step(result.offset, stack_.now());
+      clock_.step(result.offset);
       return;
     }
     if (retries_left > 0) {
@@ -46,7 +46,7 @@ void ChronosClient::update_once(int retries_left) {
       SelectionResult panic_result = chronos_panic_select(std::move(all));
       if (panic_result.accepted) {
         accepted_++;
-        clock_.step(panic_result.offset, stack_.now());
+        clock_.step(panic_result.offset);
       } else {
         rejected_++;
       }

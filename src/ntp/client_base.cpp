@@ -90,10 +90,10 @@ bool NtpClientBase::discipline(double offset, bool at_boot) {
     case OffsetAction::kNone:
       return false;
     case OffsetAction::kSlew:
-      clock_.slew(offset, stack_.now());
+      clock_.slew(offset);
       return true;
     case OffsetAction::kStep:
-      clock_.step(offset, stack_.now());
+      clock_.step(offset);
       return true;
     case OffsetAction::kRefuse:
       return false;  // panic: refuse

@@ -70,7 +70,6 @@ class NtpClientBase {
   [[nodiscard]] const SystemClock& clock() const { return clock_; }
   [[nodiscard]] net::NetStack& stack() { return stack_; }
   [[nodiscard]] u64 dns_queries() const { return stub_.queries_sent(); }
-  [[nodiscard]] const ClientBaseConfig& base_config() const { return config_; }
 
   /// Addresses of currently usable upstream servers (for tests/attacks).
   [[nodiscard]] virtual std::vector<Ipv4Addr> current_servers() const = 0;

@@ -24,7 +24,7 @@ void NtpdateClient::run(std::function<void(double)> on_done) {
                       }
                       double combined = median(std::move(offsets));
                       // ntpdate -b: always step, no panic limit.
-                      clock_.step(combined, stack_.now());
+                      clock_.step(combined);
                       on_done(combined);
                     });
   });

@@ -6,10 +6,6 @@
 // reaches the attacker's shift".
 #pragma once
 
-#include <algorithm>
-#include <optional>
-#include <vector>
-
 #include "ntp/timestamps.h"
 #include "sim/time.h"
 
@@ -29,51 +25,14 @@ class SystemClock {
   [[nodiscard]] double offset() const { return offset_; }
 
   /// Step the clock by `delta` seconds (positive = forward).
-  void step(double delta, sim::Time now) {
-    offset_ += delta;
-    steps_.push_back({now, delta});
-  }
+  void step(double delta) { offset_ += delta; }
 
-  /// Gradual adjustment; the simulator applies it instantly but records it
-  /// separately so tests can distinguish slew from step.
-  void slew(double delta, sim::Time now) {
-    offset_ += delta;
-    slews_.push_back({now, delta});
-  }
-
-  struct Adjustment {
-    sim::Time at;
-    double delta;
-  };
-  [[nodiscard]] const std::vector<Adjustment>& steps() const { return steps_; }
-  [[nodiscard]] const std::vector<Adjustment>& slews() const { return slews_; }
-
-  /// First moment the clock's offset moved past `threshold` seconds away
-  /// from zero — the "attack succeeded at" timestamp for Table II.
-  [[nodiscard]] std::optional<sim::Time> first_shift_beyond(
-      double threshold) const {
-    double running = 0.0;
-    for (const auto& adj : merged()) {
-      running += adj.delta;
-      if (running < -threshold || running > threshold) return adj.at;
-    }
-    return std::nullopt;
-  }
+  /// Gradual adjustment; the simulator applies it instantly. The name
+  /// records the discipline's decision at the call site.
+  void slew(double delta) { offset_ += delta; }
 
  private:
-  [[nodiscard]] std::vector<Adjustment> merged() const {
-    std::vector<Adjustment> all = steps_;
-    all.insert(all.end(), slews_.begin(), slews_.end());
-    std::sort(all.begin(), all.end(),
-              [](const Adjustment& a, const Adjustment& b) {
-                return a.at < b.at;
-              });
-    return all;
-  }
-
   double offset_;
-  std::vector<Adjustment> steps_;
-  std::vector<Adjustment> slews_;
 };
 
 }  // namespace dnstime::ntp

@@ -676,5 +676,49 @@ TEST(ProgressMergerTest, MalformedLinesAreCountedNotFolded) {
   EXPECT_EQ(snap.bad_lines, 2u);
 }
 
+TEST(ProgressMergerTest, CountsThatAreNotExactIntegersReadAsMissing) {
+  // A count must be an integer in [0, 2^53], which a double holds exactly.
+  // Anything else reads as a missing key: 1e300 once reached a cast to u64
+  // (undefined behaviour; the input is kept as
+  // fuzz/corpus/progress_merge/crash-done-1e300), and strtod also reads nan
+  // and inf.
+  ProgressMerger m;
+  const std::string bad =
+      "{\"scenario\":\"sweep/a\",\"done\":1e300,\"trials\":4}\n"
+      "{\"scenario\":\"sweep/b\",\"done\":nan}\n"
+      "{\"scenario\":\"sweep/c\",\"done\":inf}\n"
+      "{\"scenario\":\"sweep/d\",\"done\":-1}\n"
+      "{\"scenario\":\"sweep/e\",\"done\":2.5}\n"
+      "{\"scenario\":\"sweep/f\",\"done\":9007199254740994}\n"  // 2^53+2
+      "{\"campaign_done\":-inf}\n";
+  m.feed(0, bad.data(), bad.size());
+  auto snap = m.snapshot();
+  EXPECT_TRUE(snap.rows.empty());
+  EXPECT_EQ(snap.lines, 7u);
+  EXPECT_EQ(snap.bad_lines, 7u);
+
+  // Good lines whose other keys are bad keep the last good values.
+  const std::string good =
+      "{\"scenario\":\"sweep/x\",\"done\":2,\"trials\":1e300,"
+      "\"successes\":NAN}\n"
+      "{\"campaign_done\":3,\"campaign_total\":8,\"elapsed_s\":1.5,"
+      "\"eta_s\":0.5}\n"
+      "{\"campaign_done\":9007199254740992,\"campaign_total\":INF,"
+      "\"elapsed_s\":nan,\"eta_s\":1e999}\n";
+  m.feed(0, good.data(), good.size());
+  snap = m.snapshot();
+  ASSERT_EQ(snap.rows.size(), 1u);
+  EXPECT_EQ(snap.rows[0].done, 2u);
+  EXPECT_EQ(snap.rows[0].trials, 0u);
+  EXPECT_EQ(snap.rows[0].successes, 0u);
+  EXPECT_EQ(snap.rows[0].wilson_low, wilson_interval(0, 2).low);
+  EXPECT_EQ(snap.rows[0].wilson_high, wilson_interval(0, 2).high);
+  EXPECT_EQ(snap.campaign_done, u64{1} << 53);
+  EXPECT_EQ(snap.campaign_total, 8u);
+  EXPECT_EQ(snap.elapsed_s, 1.5);
+  EXPECT_EQ(snap.eta_s, 0.5);
+  EXPECT_EQ(snap.bad_lines, 7u);
+}
+
 }  // namespace
 }  // namespace dnstime::campaign

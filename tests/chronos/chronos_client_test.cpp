@@ -121,7 +121,7 @@ TEST(ChronosClient, HonestPoolKeepsTime) {
   wc.rate_limit_fraction = 0.0;
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  host.clock.step(2.0, world.loop().now());  // slightly wrong clock
+  host.clock.step(2.0);  // slightly wrong clock
   ChronosClient client(*host.stack, host.clock, base_config(world));
   client.start();
   world.run_for(Duration::hours(6));

@@ -71,7 +71,7 @@ TEST_P(AllClients, BootSyncCorrectsWrongClock) {
   wc.rate_limit_fraction = 0.0;  // friendly servers
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  host.clock.step(300.0, world.loop().now());  // dead RTC: clock is off
+  host.clock.step(300.0);  // dead RTC: clock is off
   auto client = make_client(GetParam(), world, host);
   client->start();
   world.run_for(Duration::minutes(15));
@@ -205,7 +205,7 @@ TEST(OpenntpdClient, RestartWhilePollsAreInFlight) {
   wc.rate_limit_fraction = 0.0;
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  host.clock.step(300.0, world.loop().now());
+  host.clock.step(300.0);
   PoolClient client(*host.stack, host.clock, base_config(world),
                     Daemon::kOpenntpd);
   client.start();
@@ -281,7 +281,7 @@ TEST(NtpdateClient, OneShotStepsClockAndExits) {
   wc.rate_limit_fraction = 0.0;
   World world(wc);
   auto& host = world.add_host(kVictimAddr);
-  host.clock.step(-300.0, world.loop().now());
+  host.clock.step(-300.0);
   NtpdateClient client(*host.stack, host.clock, base_config(world));
   std::optional<double> applied;
   client.run([&](double offset) { applied = offset; });
