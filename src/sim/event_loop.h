@@ -13,10 +13,16 @@
 //    shuffle plain values, never callbacks (std::priority_queue::top() is
 //    const, which forced the old loop to deep-copy the callback on every
 //    dispatch);
-//  * callbacks live in a slot pool recycled through a free-list, so each
-//    callback is moved exactly once (caller into slot) and the
-//    steady-state schedule/fire cycle allocates nothing beyond what the
-//    callback capture itself needs;
+//  * one packed 128-bit key per node, time above seq, orders the heap:
+//    tied timestamps cost no second compare, and sift-down picks the
+//    earliest of a full group of four children with selects, not jumps,
+//    so the pops of idle timers tied on whole seconds (most of a long
+//    trial's events) take no data-dependent branch inside a group;
+//  * callbacks live in a slot pool recycled through a free-list. The
+//    scheduled callable is forwarded into its slot, where its EventFn is
+//    built, so it moves at most twice on the way in and once at
+//    dispatch, and the steady-state schedule/fire cycle allocates
+//    nothing beyond what the callback capture itself needs;
 //  * slots carry a generation counter that backs cancellation handles —
 //    a stale handle can never touch the slot's next occupant;
 //  * callbacks are SmallFn (src/common/function.h): move-only with a
@@ -24,9 +30,9 @@
 //    never touches the heap.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/function.h"
@@ -96,18 +102,21 @@ class EventLoop {
 
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `at` (clamped to >= now).
-  EventHandle schedule_at(Time at, EventFn fn) {
+  /// Schedule `fn` to run at absolute time `at` (clamped to >= now). `fn`
+  /// is any callable EventFn accepts; its EventFn is built in the slot.
+  template <class F>
+  EventHandle schedule_at(Time at, F&& fn) {
     if (at < now_) at = now_;
-    const u32 slot = acquire_slot(std::move(fn));
+    const u32 slot = acquire_slot(std::forward<F>(fn));
     heap_push(Node{at, seq_++, slot});
     stats_.scheduled++;
     if (heap_.size() > stats_.heap_peak) stats_.heap_peak = heap_.size();
     return EventHandle{this, slot, slots_[slot].gen};
   }
 
-  EventHandle schedule_after(Duration d, EventFn fn) {
-    return schedule_at(now_ + d, std::move(fn));
+  template <class F>
+  EventHandle schedule_after(Duration d, F&& fn) {
+    return schedule_at(now_ + d, std::forward<F>(fn));
   }
 
   /// Run events until the queue drains or `until` is reached. Events at
@@ -155,9 +164,12 @@ class EventLoop {
     bool cancelled = false;
   };
 
-  static bool earlier(const Node& a, const Node& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+  /// (time, seq) packed into one integer, time in the high half. The cast
+  /// keeps order because schedule_at clamps every time to now_ >= 0, and
+  /// seq is unique, so no two queued keys are equal.
+  using Key = unsigned __int128;
+  static Key key(const Node& n) {
+    return Key{static_cast<u64>(n.at.ns())} << 64 | n.seq;
   }
 
   /// Pop the top event, advance the clock, release the slot, and run the
@@ -178,15 +190,19 @@ class EventLoop {
     fn();
   }
 
-  u32 acquire_slot(EventFn fn) {
+  /// Builds the callable's EventFn in a recycled or a new slot. The free
+  /// list is only touched once the EventFn exists, so a throwing capture
+  /// leaves the pool as it was.
+  template <class F>
+  u32 acquire_slot(F&& fn) {
     u32 s;
     if (free_head_ != kNoSlot) {
       s = free_head_;
+      slots_[s].fn = EventFn(std::forward<F>(fn));
       free_head_ = slots_[s].next_free;
-      slots_[s].fn = std::move(fn);
     } else {
       s = static_cast<u32>(slots_.size());
-      slots_.push_back(Slot{.fn = std::move(fn)});
+      slots_.push_back(Slot{.fn = EventFn(std::forward<F>(fn))});
     }
     slots_[s].live = true;
     slots_[s].cancelled = false;
@@ -201,11 +217,12 @@ class EventLoop {
   }
 
   void heap_push(Node node) {
+    const Key k = key(node);
     std::size_t i = heap_.size();
     heap_.push_back(node);
     while (i > 0) {
       std::size_t parent = (i - 1) / kArity;
-      if (!earlier(node, heap_[parent])) break;
+      if (!(k < key(heap_[parent]))) break;
       heap_[i] = heap_[parent];
       i = parent;
     }
@@ -217,19 +234,40 @@ class EventLoop {
     const Node last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
-      // Sift `last` down from the root, pulling smaller children up into
+      // Sift `last` down from the root, pulling the earliest child up into
       // the hole instead of swapping element pairs.
+      const Key last_key = key(last);
       std::size_t i = 0;
       const std::size_t n = heap_.size();
       for (;;) {
-        std::size_t first_child = i * kArity + 1;
-        if (first_child >= n) break;
-        std::size_t best = first_child;
-        std::size_t end = std::min(first_child + kArity, n);
-        for (std::size_t c = first_child + 1; c < end; ++c) {
-          if (earlier(heap_[c], heap_[best])) best = c;
+        const std::size_t c = i * kArity + 1;
+        if (c >= n) break;
+        std::size_t best = c;
+        Key best_key = key(heap_[c]);
+        if (c + kArity <= n) {
+          // A full group: a tournament of selects over the four keys.
+          // Keys are unique, so the pairing decides nothing about ties.
+          const Key k1 = key(heap_[c + 1]);
+          const Key k2 = key(heap_[c + 2]);
+          const Key k3 = key(heap_[c + 3]);
+          const bool b01 = k1 < best_key;
+          const bool b23 = k3 < k2;
+          const Key k01 = b01 ? k1 : best_key;
+          const Key k23 = b23 ? k3 : k2;
+          const bool b = k23 < k01;
+          best += b ? 2 + b23 : b01;
+          best_key = b ? k23 : k01;
+        } else {
+          // The last, partial group: one to three children.
+          for (std::size_t j = c + 1; j < n; ++j) {
+            const Key kj = key(heap_[j]);
+            if (kj < best_key) {
+              best = j;
+              best_key = kj;
+            }
+          }
         }
-        if (!earlier(heap_[best], last)) break;
+        if (!(best_key < last_key)) break;
         heap_[i] = heap_[best];
         i = best;
       }
