@@ -39,39 +39,11 @@ std::optional<DumpOn> parse_dump_on(std::string_view s) {
   return std::nullopt;
 }
 
-/// Process-wide buffer-pool stats as JSON: totals plus a sparse per-class
-/// map keyed by block size (classes with no activity are omitted, so quiet
-/// size classes do not bloat the output).
+/// Process-wide packet-buffer block counts as JSON.
 std::string buffer_pool_json() {
   const BufferPool::Stats s = BufferPool::aggregate_stats();
-  std::string out = "{\"pool_hits\":" + std::to_string(s.pool_hits);
-  out += ",\"fresh_allocs\":" + std::to_string(s.fresh_allocs);
-  out += ",\"oversize_allocs\":" + std::to_string(s.oversize_allocs);
-  out += ",\"outstanding\":" + std::to_string(s.outstanding);
-  out += ",\"cached_blocks\":" + std::to_string(s.cached_blocks);
-  out += ",\"cached_bytes\":" + std::to_string(s.cached_bytes);
-  out += ",\"classes\":{";
-  bool first = true;
-  for (std::size_t i = 0; i < BufferPool::kNumClasses; ++i) {
-    const BufferPool::Stats::PerClass& pc = s.classes[i];
-    if (pc.pool_hits == 0 && pc.fresh_allocs == 0 && pc.outstanding == 0 &&
-        pc.cached_blocks == 0) {
-      continue;
-    }
-    if (!first) out += ",";
-    first = false;
-    const std::size_t size = std::size_t{1}
-                             << (BufferPool::kMinClassShift + i);
-    out += "\"" + std::to_string(size) + "\":{";
-    out += "\"pool_hits\":" + std::to_string(pc.pool_hits);
-    out += ",\"fresh_allocs\":" + std::to_string(pc.fresh_allocs);
-    out += ",\"outstanding\":" + std::to_string(pc.outstanding);
-    out += ",\"cached_blocks\":" + std::to_string(pc.cached_blocks);
-    out += ",\"cached_bytes\":" + std::to_string(pc.cached_bytes);
-    out += "}";
-  }
-  out += "}}";
-  return out;
+  return "{\"fresh_allocs\":" + std::to_string(s.fresh_allocs) +
+         ",\"outstanding\":" + std::to_string(s.outstanding) + "}";
 }
 
 /// The --metrics JSON value: the registry snapshot's counters/histograms
@@ -90,16 +62,10 @@ std::string metrics_table() {
   std::string out = "\n== metrics ==\n";
   out += obs::Registry::instance().snapshot().to_table();
   const BufferPool::Stats s = BufferPool::aggregate_stats();
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "buffer pool: hits=%llu fresh=%llu oversize=%llu "
-                "outstanding=%llu cached=%llu blocks / %llu bytes\n",
-                static_cast<unsigned long long>(s.pool_hits),
+  char line[128];
+  std::snprintf(line, sizeof line, "buffer pool: fresh=%llu outstanding=%llu\n",
                 static_cast<unsigned long long>(s.fresh_allocs),
-                static_cast<unsigned long long>(s.oversize_allocs),
-                static_cast<unsigned long long>(s.outstanding),
-                static_cast<unsigned long long>(s.cached_blocks),
-                static_cast<unsigned long long>(s.cached_bytes));
+                static_cast<unsigned long long>(s.outstanding));
   out += line;
   return out;
 }

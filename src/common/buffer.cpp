@@ -1,154 +1,47 @@
 #include "common/buffer.h"
 
 #include <algorithm>
-#include <mutex>
-#include <vector>
+#include <atomic>
+#include <bit>
+#include <new>
 
 namespace dnstime {
 namespace {
 
-/// Process-wide directory of live pools plus the folded stats of pools
-/// whose threads exited. Leaked on purpose: thread_local pool destructors
-/// can run after any static destructor would have.
-struct PoolRegistry {
-  std::mutex mutex;
-  std::vector<const BufferPool*> live;
-  BufferPool::Stats retired;
+constexpr std::size_t kMinBlockBytes = 64;
 
-  static PoolRegistry& instance() {
-    static PoolRegistry* const g = new PoolRegistry;
-    return *g;
-  }
-};
+// Relaxed: these are counts that order nothing. Readers that need exact
+// values read them after the threads that acquire and release have joined.
+std::atomic<u64> g_allocated{0};
+std::atomic<u64> g_live{0};
 
 }  // namespace
 
-void BufferPool::Stats::merge(const Stats& o) {
-  pool_hits += o.pool_hits;
-  fresh_allocs += o.fresh_allocs;
-  oversize_allocs += o.oversize_allocs;
-  outstanding += o.outstanding;
-  cached_blocks += o.cached_blocks;
-  cached_bytes += o.cached_bytes;
-  for (std::size_t c = 0; c < kNumClasses; ++c) {
-    classes[c].pool_hits += o.classes[c].pool_hits;
-    classes[c].fresh_allocs += o.classes[c].fresh_allocs;
-    classes[c].outstanding += o.classes[c].outstanding;
-    classes[c].cached_blocks += o.classes[c].cached_blocks;
-    classes[c].cached_bytes += o.classes[c].cached_bytes;
-  }
-}
-
-BufferPool::BufferPool() {
-  PoolRegistry& reg = PoolRegistry::instance();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  reg.live.push_back(this);
-}
-
-BufferPool::~BufferPool() {
-  trim();
-  PoolRegistry& reg = PoolRegistry::instance();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  reg.retired.merge(stats_);
-  auto it = std::find(reg.live.begin(), reg.live.end(), this);
-  if (it != reg.live.end()) reg.live.erase(it);
-}
-
 BufferPool::Stats BufferPool::aggregate_stats() {
-  PoolRegistry& reg = PoolRegistry::instance();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  Stats total = reg.retired;
-  for (const BufferPool* p : reg.live) total.merge(p->stats_);
-  return total;
-}
-
-BufferPool& BufferPool::local() {
-  thread_local BufferPool pool;
-  return pool;
-}
-
-std::size_t BufferPool::class_for(std::size_t capacity) {
-  std::size_t c = kMinClassShift;
-  while ((std::size_t{1} << c) < capacity) ++c;
-  return c - kMinClassShift;
+  Stats s;
+  s.fresh_allocs = g_allocated.load(std::memory_order_relaxed);
+  s.outstanding = g_live.load(std::memory_order_relaxed);
+  return s;
 }
 
 BufferPool::Block* BufferPool::acquire(std::size_t capacity) {
-  stats_.outstanding++;
-  if (capacity > (std::size_t{1} << kMaxClassShift)) {
-    stats_.oversize_allocs++;
-    auto* b = static_cast<Block*>(::operator new(sizeof(Block) + capacity));
-    b->next_free = nullptr;
-    b->refcount = 1;
-    b->capacity = static_cast<u32>(capacity);
-    b->class_idx = kOversizeClass;
-    return b;
-  }
-  std::size_t cls = class_for(capacity);
-  Stats::PerClass& pc = stats_.classes[cls];
-  pc.outstanding++;
-  if (Block* b = free_[cls]) {
-    free_[cls] = b->next_free;
-    stats_.pool_hits++;
-    stats_.cached_blocks--;
-    stats_.cached_bytes -= b->capacity;
-    pc.pool_hits++;
-    pc.cached_blocks--;
-    pc.cached_bytes -= b->capacity;
-    b->next_free = nullptr;
-    b->refcount = 1;
-    return b;
-  }
-  stats_.fresh_allocs++;
-  pc.fresh_allocs++;
-  std::size_t cap = std::size_t{1} << (cls + kMinClassShift);
+  const std::size_t cap = std::bit_ceil(std::max(capacity, kMinBlockBytes));
   auto* b = static_cast<Block*>(::operator new(sizeof(Block) + cap));
-  b->next_free = nullptr;
   b->refcount = 1;
   b->capacity = static_cast<u32>(cap);
-  b->class_idx = static_cast<u16>(cls);
+  g_allocated.fetch_add(1, std::memory_order_relaxed);
+  g_live.fetch_add(1, std::memory_order_relaxed);
   return b;
 }
 
 void BufferPool::release(Block* b) {
-  stats_.outstanding--;
-  if (b->class_idx == kOversizeClass) {
-    ::operator delete(b);
-    return;
-  }
-  Stats::PerClass& pc = stats_.classes[b->class_idx];
-  pc.outstanding--;
-  if (stats_.cached_bytes + b->capacity > kMaxCachedBytes) {
-    ::operator delete(b);
-    return;
-  }
-  b->next_free = free_[b->class_idx];
-  free_[b->class_idx] = b;
-  stats_.cached_blocks++;
-  stats_.cached_bytes += b->capacity;
-  pc.cached_blocks++;
-  pc.cached_bytes += b->capacity;
-}
-
-void BufferPool::trim() {
-  for (Block*& head : free_) {
-    while (head) {
-      Block* next = head->next_free;
-      ::operator delete(head);
-      head = next;
-    }
-  }
-  stats_.cached_blocks = 0;
-  stats_.cached_bytes = 0;
-  for (Stats::PerClass& pc : stats_.classes) {
-    pc.cached_blocks = 0;
-    pc.cached_bytes = 0;
-  }
+  g_live.fetch_sub(1, std::memory_order_relaxed);
+  ::operator delete(b);
 }
 
 PacketBuf PacketBuf::copy_of(std::span<const u8> data, std::size_t headroom) {
   if (data.empty() && headroom == 0) return {};
-  BufferPool::Block* b = BufferPool::local().acquire(headroom + data.size());
+  BufferPool::Block* b = BufferPool::acquire(headroom + data.size());
   u8* dst = b->data() + headroom;
   if (!data.empty()) std::memcpy(dst, data.data(), data.size());
   return PacketBuf{b, dst, data.size()};
@@ -156,7 +49,7 @@ PacketBuf PacketBuf::copy_of(std::span<const u8> data, std::size_t headroom) {
 
 PacketBuf PacketBuf::uninitialized(std::size_t n, std::size_t headroom) {
   if (n == 0 && headroom == 0) return {};
-  BufferPool::Block* b = BufferPool::local().acquire(headroom + n);
+  BufferPool::Block* b = BufferPool::acquire(headroom + n);
   return PacketBuf{b, b->data() + headroom, n};
 }
 

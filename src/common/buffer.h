@@ -1,4 +1,4 @@
-// Packet-path memory subsystem: pooled, reference-counted byte buffers.
+// Packet-path memory subsystem: reference-counted byte buffers.
 //
 // Every simulated packet used to be a `std::vector<u8>` that was allocated,
 // copied and freed at each layer boundary (serialize -> fragment -> deliver
@@ -7,11 +7,11 @@
 // packets per campaign through exactly that path, so buffer ownership is a
 // first-class subsystem here:
 //
-//  * BufferPool  — a per-thread free-list allocator with power-of-two size
-//    classes. Trials are single-threaded by design (the campaign runner
-//    gives every worker its own event loop), so the pool takes no locks.
-//  * PacketBuf   — a reference-counted window onto a pooled block. Copying
-//    a PacketBuf bumps a (non-atomic) refcount; fragment slicing and header
+//  * BufferPool  — takes each block straight from operator new, with its
+//    capacity rounded up to a power of two, and counts blocks allocated
+//    and blocks live, process-wide.
+//  * PacketBuf   — a reference-counted window onto a block. Copying a
+//    PacketBuf bumps a (non-atomic) refcount; fragment slicing and header
 //    strip/prepend are offset arithmetic on the shared block. Mutating
 //    accessors copy-on-write, so aliased slices can never observe writes
 //    through another handle.
@@ -19,19 +19,16 @@
 //    handlers receive. A BufView is only valid for the duration of the call
 //    that handed it out (see src/net/README.md for the aliasing rules).
 //
-// Thread contract: a PacketBuf must be dropped on the thread that acquired
-// its block — each pool (free lists AND stats) is touched only by its
-// owning thread, so a cross-thread release would park the block on the
-// wrong pool and skew both pools' outstanding counters. Nothing in the
-// simulator sends packets across threads (trials own their event loop and
-// results carry no buffers).
+// Thread contract: a block may be released on any thread (it goes back to
+// operator delete, and the counters are atomics), but a PacketBuf and every
+// handle aliasing its block must stay on one thread, because the refcounts
+// are plain integers. Nothing in the simulator sends packets across threads
+// (trials own their event loop and results carry no buffers).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstring>
 #include <initializer_list>
-#include <new>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -47,102 +44,51 @@ using Bytes = std::vector<u8>;
 /// prepend their headers in place (8 UDP + 20 IPv4, rounded up).
 inline constexpr std::size_t kPacketHeadroom = 32;
 
-/// Per-thread free-list allocator with power-of-two size classes.
+/// Packet-buffer blocks, straight from the heap, with process-wide counts.
 class BufferPool {
  public:
-  /// Size classes 2^6 .. 2^17 (64 B .. 128 KiB). Larger requests are served
-  /// directly from the heap and never cached.
-  static constexpr std::size_t kMinClassShift = 6;
-  static constexpr std::size_t kMaxClassShift = 17;
-  static constexpr std::size_t kNumClasses = kMaxClassShift - kMinClassShift + 1;
-  static constexpr u16 kOversizeClass = 0xFFFF;
-
   struct Stats {
-    /// Per-size-class slice of the counters below (class i holds blocks of
-    /// 2^(kMinClassShift + i) bytes). Oversize requests bypass the classes
-    /// and appear only in the totals.
-    struct PerClass {
-      u64 pool_hits = 0;
-      u64 fresh_allocs = 0;
-      u64 outstanding = 0;
-      u64 cached_blocks = 0;
-      u64 cached_bytes = 0;
-    };
-
-    u64 pool_hits = 0;       ///< acquires served from a free list
-    u64 fresh_allocs = 0;    ///< acquires that went to operator new
-    u64 oversize_allocs = 0; ///< requests beyond the largest class (unpooled)
-    u64 outstanding = 0;     ///< live blocks not yet released
-    u64 cached_blocks = 0;   ///< blocks parked on free lists
-    u64 cached_bytes = 0;    ///< capacity parked on free lists
-    std::array<PerClass, kNumClasses> classes{};
-
-    /// Element-wise accumulate (used by aggregate_stats()).
-    void merge(const Stats& o);
+    /// Always 0 (no block is reused); kept because perfbench reads it.
+    u64 pool_hits = 0;
+    u64 fresh_allocs = 0;  ///< blocks taken from operator new
+    u64 outstanding = 0;   ///< live blocks not yet released
   };
-  /// Cap on bytes parked across all free lists; releases beyond it free.
-  static constexpr std::size_t kMaxCachedBytes = std::size_t{4} << 20;
 
-  /// Block header preceding every allocation. `next_free` is only valid
-  /// while the block is parked on a free list.
+  /// Block header preceding every allocation.
   struct alignas(16) Block {
-    Block* next_free;
     u32 refcount;
     u32 capacity;
-    u16 class_idx;
     [[nodiscard]] u8* data() {
       return reinterpret_cast<u8*>(this) + sizeof(Block);
     }
   };
 
-  BufferPool();
-  ~BufferPool();
-  BufferPool(const BufferPool&) = delete;
-  BufferPool& operator=(const BufferPool&) = delete;
+  BufferPool() = delete;
 
-  /// The calling thread's pool. Campaign workers each get their own
-  /// instance, so no acquire/release ever synchronises.
-  static BufferPool& local();
-
-  /// Stats merged across every pool in the process: all live pools plus
-  /// the folded counters of pools whose threads have exited. Takes the
-  /// process-wide pool-registry lock; exact when other threads are not
-  /// mid-acquire (e.g. after campaign workers joined). This — not
-  /// local().stats() — is what campaign-level reporting must use: the
-  /// calling thread's pool sees none of the worker traffic.
+  /// The process-wide counts. Exact when no other thread is mid-acquire or
+  /// mid-release (e.g. after campaign workers joined). `outstanding` is the
+  /// leak instrumentation: at trial teardown every PacketBuf must have been
+  /// released, so it must match its pre-trial value.
   [[nodiscard]] static Stats aggregate_stats();
 
-  /// Allocate a block with at least `capacity` data bytes.
-  [[nodiscard]] Block* acquire(std::size_t capacity);
+  /// Allocate a block with at least `capacity` data bytes: the capacity is
+  /// rounded up to a power of two, at least 64 B, so a ByteWriter that
+  /// doubles its buffer writes into that slack before it takes a new block.
+  [[nodiscard]] static Block* acquire(std::size_t capacity);
 
-  /// Return a block whose refcount reached zero.
-  void release(Block* b);
-
-  /// Drop all cached free blocks (the pool's memory floor returns to zero).
-  void trim();
-
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Live blocks not yet released — the pool-leak instrumentation: at trial
-  /// teardown every PacketBuf must have returned to its pool, so this must
-  /// match its pre-trial value.
-  [[nodiscard]] u64 outstanding() const { return stats_.outstanding; }
-
- private:
-  static std::size_t class_for(std::size_t capacity);
-
-  Block* free_[kNumClasses] = {};
-  Stats stats_;
+  /// Free a block whose refcount reached zero.
+  static void release(Block* b);
 };
 
-/// Reference-counted window onto a pooled block. Copies alias (refcount++),
+/// Reference-counted window onto a block. Copies alias (refcount++),
 /// slices are offset arithmetic, mutation copies-on-write.
 class PacketBuf {
  public:
   PacketBuf() = default;
 
-  /// Pooled copy of existing bytes. Implicit on purpose: it is the compat
-  /// bridge that lets legacy `Bytes`-producing code feed the packet path
-  /// (at the cost of one copy — the hot paths build pooled buffers
+  /// Copy of existing bytes into a new block. Implicit on purpose: it is the
+  /// compat bridge that lets legacy `Bytes`-producing code feed the packet
+  /// path (at the cost of one copy — the hot paths build their buffers
   /// directly via ByteWriter::take_buf()).
   PacketBuf(const Bytes& bytes)
       : PacketBuf(copy_of(std::span<const u8>(bytes))) {}
@@ -284,12 +230,11 @@ class PacketBuf {
   friend bool operator==(const Bytes& a, const PacketBuf& b) { return b == a; }
 
  private:
-  friend class BufferPool;
   PacketBuf(BufferPool::Block* block, u8* data, std::size_t len)
       : block_(block), data_(data), len_(len) {}
 
   void reset() {
-    if (block_ && --block_->refcount == 0) BufferPool::local().release(block_);
+    if (block_ && --block_->refcount == 0) BufferPool::release(block_);
     block_ = nullptr;
     data_ = nullptr;
     len_ = 0;

@@ -1,7 +1,7 @@
 // Byte-buffer reader/writer used by all wire-format codecs (IPv4, UDP,
 // ICMP, DNS, NTP). All multi-byte integers are network (big-endian) order.
 //
-// ByteWriter appends into a pooled PacketBuf (common/buffer.h) and reserves
+// ByteWriter appends into a PacketBuf (common/buffer.h) and reserves
 // packet headroom by default, so a codec's output can have lower-layer
 // headers prepended in place — `take_buf()` is the zero-copy path the
 // netstack rides; `take()` keeps the legacy owned-vector contract for wire
@@ -28,7 +28,7 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Sequential big-endian writer appending to a pooled buffer that keeps
+/// Sequential big-endian writer appending to a PacketBuf that keeps
 /// kPacketHeadroom bytes free in front for the headers prepended later.
 class ByteWriter {
  public:
@@ -83,7 +83,7 @@ class ByteWriter {
   [[nodiscard]] std::span<const u8> data() const {
     return {static_cast<const PacketBuf&>(buf_).data(), size()};
   }
-  /// Zero-copy: the pooled buffer, window = written bytes, headroom intact.
+  /// Zero-copy: the buffer, window = written bytes, headroom intact.
   [[nodiscard]] PacketBuf take_buf() && {
     buf_.set_size(size());
     cur_ = cap_end_ = nullptr;
@@ -112,7 +112,8 @@ class ByteWriter {
     bigger.set_origin(buf_.origin());  // regrowing must keep provenance
     if (used != 0) std::memcpy(bigger.data(), buf_.data(), used);
     buf_ = std::move(bigger);
-    // The pool rounds capacity up to its size class; write into all of it.
+    // BufferPool::acquire rounds capacity up to a power of two; write into
+    // all of it.
     buf_.set_size(buf_.size() + buf_.tailroom());
     cur_ = buf_.data() + used;
     cap_end_ = buf_.data() + buf_.size();

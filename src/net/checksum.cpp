@@ -1,11 +1,10 @@
 #include "net/checksum.h"
 
-#include <bit>
-#include <cstring>
-
 namespace dnstime::net {
 
-u16 ones_complement_sum_scalar(std::span<const u8> data) {
+u16 ones_complement_sum(std::span<const u8> data) {
+  // The 32-bit accumulator cannot overflow on an IPv4-sized input: 65,535
+  // bytes are 32,768 words of at most 0xFFFF, which sum to under 2^31.
   u32 sum = 0;
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) {
@@ -14,45 +13,6 @@ u16 ones_complement_sum_scalar(std::span<const u8> data) {
   if (i < data.size()) sum += u32{data[i]} << 8;
   while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
   return static_cast<u16>(sum);
-}
-
-u16 ones_complement_sum(std::span<const u8> data) {
-  // RFC 1071 §2(B): ones' complement addition commutes with byte swapping,
-  // so we accumulate native-order machine words (8 bytes per iteration,
-  // end-around carry per add) and byte-swap the folded result once on
-  // little-endian hosts. memcpy loads keep unaligned slices safe.
-  const u8* p = data.data();
-  std::size_t n = data.size();
-  u64 sum = 0;
-  while (n >= 8) {
-    u64 w;
-    std::memcpy(&w, p, 8);
-    sum += w;
-    if (sum < w) sum++;  // end-around carry
-    p += 8;
-    n -= 8;
-  }
-  if (n != 0) {
-    // Zero-padded tail in the same memory order: the RFC's "pad the odd
-    // byte with zero" falls out because the pad bytes land where the
-    // missing half of the last 16-bit word would have been.
-    u8 tail[8] = {};
-    std::memcpy(tail, p, n);
-    u64 w;
-    std::memcpy(&w, tail, 8);
-    sum += w;
-    if (sum < w) sum++;
-  }
-  // Fold 64 -> 32 -> 16 with end-around carries.
-  u32 s32 = static_cast<u32>(sum >> 32) + static_cast<u32>(sum);
-  if (s32 < static_cast<u32>(sum)) s32++;
-  u32 s16 = (s32 >> 16) + (s32 & 0xFFFF);
-  s16 = (s16 >> 16) + (s16 & 0xFFFF);
-  auto folded = static_cast<u16>(s16);
-  if constexpr (std::endian::native == std::endian::little) {
-    folded = static_cast<u16>((folded << 8) | (folded >> 8));
-  }
-  return folded;
 }
 
 u16 ones_complement_add(u16 a, u16 b) {

@@ -14,16 +14,10 @@ namespace dnstime::net {
 
 /// Ones' complement sum of 16-bit big-endian words (odd trailing byte is
 /// padded with zero), folded to 16 bits. This is `sum1` in the paper's
-/// notation; the Internet checksum is its complement.
-///
-/// Word-at-a-time: accumulates 8 bytes per iteration in a 64-bit ones'
-/// complement register (RFC 1071 §2(B): the sum is byte-order independent
-/// up to a final byte swap), with 16-bit/odd-byte tail handling.
+/// notation; the Internet checksum is its complement. One byte-pair loop
+/// with a 32-bit accumulator, exact for inputs up to twice the largest
+/// IPv4 datagram (131,074 bytes).
 [[nodiscard]] u16 ones_complement_sum(std::span<const u8> data);
-
-/// Reference byte-pair implementation, kept as the test oracle for the
-/// word-at-a-time version.
-[[nodiscard]] u16 ones_complement_sum_scalar(std::span<const u8> data);
 
 /// Combine two folded partial sums (ones' complement addition).
 [[nodiscard]] u16 ones_complement_add(u16 a, u16 b);

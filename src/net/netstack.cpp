@@ -19,7 +19,6 @@ NetStack::NetStack(sim::Network& net, Ipv4Addr addr, StackConfig config,
 }
 
 NetStack::~NetStack() {
-  destroyed_ = true;
   expiry_event_.cancel();
   net_.detach(addr_);
   // Fold the per-stack hot-path counters into the process registry once,
@@ -43,7 +42,6 @@ void NetStack::schedule_expiry() {
   // events and ~98% of the boot-time sweeps'. ROADMAP.md's open item on
   // arming the sweep only while the cache holds datagrams removes them.
   expiry_event_ = loop().schedule_after(sim::Duration::seconds(1), [this] {
-    if (destroyed_) return;
     reasm_.expire(now());
     schedule_expiry();
   });

@@ -145,7 +145,6 @@ class NetStack : public sim::PacketSink {
   u64 fragments_tx_ = 0;
   u64 datagrams_fragmented_ = 0;
   sim::EventHandle expiry_event_;
-  bool destroyed_ = false;
 };
 
 }  // namespace dnstime::net

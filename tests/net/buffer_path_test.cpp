@@ -1,13 +1,15 @@
-// Property tests for the pooled zero-copy packet path against the frozen
-// pre-refactor copy path (bench/legacy_packet_path.h), plus the pool-leak
-// instrumentation contract: every PacketBuf returns to its pool at trial
-// teardown.
+// Property tests for the zero-copy packet path against the frozen
+// pre-refactor copy path (bench/legacy_packet_path.h), plus the leak
+// instrumentation contract (every PacketBuf is released by trial teardown)
+// and the flood's block count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "bench/legacy_packet_path.h"
+#include "campaign/scenario_spec.h"
+#include "campaign/trial.h"
 #include "common/buffer.h"
 #include "common/origin.h"
 #include "common/rng.h"
@@ -154,13 +156,12 @@ TEST(BufferPathProperty, CraftedOverlapsMatchLegacyPath) {
   }
 }
 
-/// Pool-leak instrumentation: run a whole "trial" (two stacks exchanging
+/// Leak instrumentation: run a whole "trial" (two stacks exchanging
 /// fragmented datagrams over the simulated network, including planted
-/// fragments that expire) and require every PacketBuf to have returned to
-/// the pool at teardown.
+/// fragments that expire) and require every PacketBuf to have been
+/// released at teardown.
 TEST(BufferPool, PacketPathReturnsEveryBufferAtTrialTeardown) {
-  BufferPool& pool = BufferPool::local();
-  const u64 before = pool.outstanding();
+  const u64 before = BufferPool::aggregate_stats().outstanding;
   {
     sim::EventLoop loop;
     sim::Network net(loop, Rng{7});
@@ -190,8 +191,39 @@ TEST(BufferPool, PacketPathReturnsEveryBufferAtTrialTeardown) {
     ASSERT_GT(got, 0u);
     ASSERT_GT(b.fragments_rx(), 0u);
   }
-  // Trial teardown: every packet buffer is back in the pool.
-  EXPECT_EQ(pool.outstanding(), before);
+  // Trial teardown: every packet buffer has been released.
+  EXPECT_EQ(BufferPool::aggregate_stats().outstanding, before);
+}
+
+/// The spoofed NTP flood builds one forged datagram per target and sends
+/// refcounted copies of it, so a Table II trial takes a few hundred blocks
+/// while it sends tens of thousands of packets. Exact block counts pin that
+/// sharing: a flood that copied its datagram per send would take a block
+/// per packet. They also pin acquire's power-of-two capacities, without
+/// which a growing ByteWriter takes more blocks.
+TEST(BufferPool, FloodSharesOneBlockPerTargetAcrossItsSends) {
+  const campaign::ScenarioRegistry registry =
+      campaign::ScenarioRegistry::builtin();
+  const struct {
+    const char* scenario;
+    u64 blocks;
+  } cases[] = {
+      {"table2/openntpd", 815},  // 147,863 packets sent
+      {"table2/ntpd-p1", 349},   // 22,221 packets sent
+  };
+  for (const auto& c : cases) {
+    const campaign::ScenarioSpec* spec = registry.find(c.scenario);
+    ASSERT_NE(spec, nullptr) << c.scenario;
+    obs::FlightRecorder flight;
+    const BufferPool::Stats before = BufferPool::aggregate_stats();
+    const campaign::TrialResult result = campaign::execute_trial(
+        *spec, /*campaign_seed=*/7, /*trial=*/0, flight);
+    const BufferPool::Stats after = BufferPool::aggregate_stats();
+    ASSERT_TRUE(result.error.empty()) << c.scenario << ": " << result.error;
+    EXPECT_EQ(after.fresh_allocs - before.fresh_allocs, c.blocks)
+        << c.scenario;
+    EXPECT_EQ(after.outstanding, before.outstanding) << c.scenario;
+  }
 }
 
 /// Provenance: a stamp applied to the parent datagram survives

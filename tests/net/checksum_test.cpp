@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
-#include "common/rng.h"
 
 namespace dnstime::net {
 namespace {
@@ -70,41 +69,20 @@ TEST(Checksum, CompensationPreservesSum) {
   EXPECT_TRUE(equal) << std::hex << orig << " vs " << after;
 }
 
-TEST(Checksum, WordAtATimeMatchesScalarOracle) {
-  // The shipped ones_complement_sum folds 8 bytes per iteration; the scalar
-  // byte-pair version is kept as the oracle. Randomised lengths exercise
-  // every 8/4/2/1-byte tail combination, and offset slices into the same
-  // backing array exercise every load alignment.
-  Rng rng{20260731};
-  Bytes backing(4200);
-  for (auto& b : backing) b = static_cast<u8>(rng.uniform(0, 255));
-  for (int iter = 0; iter < 2000; ++iter) {
-    std::size_t offset = rng.uniform(0, 7);
-    std::size_t max_len = backing.size() - offset;
-    std::size_t len = rng.uniform(0, 64) == 0
-                          ? rng.uniform(0, static_cast<u64>(max_len))
-                          : rng.uniform(0, 100);
-    auto slice = std::span(backing).subspan(offset, len);
-    ASSERT_EQ(ones_complement_sum(slice), ones_complement_sum_scalar(slice))
-        << "offset=" << offset << " len=" << len;
-  }
-  // Exhaustive short lengths at every alignment.
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 40; ++len) {
-      auto slice = std::span(backing).subspan(offset, len);
-      ASSERT_EQ(ones_complement_sum(slice), ones_complement_sum_scalar(slice))
-          << "offset=" << offset << " len=" << len;
-    }
-  }
+TEST(Checksum, AllOnesAndZeros) {
+  EXPECT_EQ(ones_complement_sum(Bytes(37, 0)), 0);
+  EXPECT_EQ(ones_complement_sum(Bytes(64, 0xFF)), 0xFFFF);
 }
 
-TEST(Checksum, WordAtATimeAllOnesAndZeros) {
-  Bytes zeros(37, 0);
-  EXPECT_EQ(ones_complement_sum(zeros), ones_complement_sum_scalar(zeros));
-  EXPECT_EQ(ones_complement_sum(zeros), 0);
-  Bytes ones(64, 0xFF);
-  EXPECT_EQ(ones_complement_sum(ones), ones_complement_sum_scalar(ones));
-  EXPECT_EQ(ones_complement_sum(ones), 0xFFFF);
+TEST(Checksum, LargestIpv4LengthKnownAnswers) {
+  // 65,535 bytes is the most any caller sums; all-0xFF words are the
+  // accumulator's worst case before the final fold.
+  EXPECT_EQ(ones_complement_sum(Bytes(65535, 0xFF)), 0xFF00);
+  Bytes ramp(65535);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<u8>(i & 0xFF);
+  }
+  EXPECT_EQ(ones_complement_sum(ramp), 0x3EC1);
 }
 
 TEST(Checksum, PseudoHeaderMatchesManualComputation) {

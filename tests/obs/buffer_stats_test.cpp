@@ -1,6 +1,5 @@
-// BufferPool statistics: per-size-class accounting on the acquire/release
-// path and process-wide aggregation across pools, including pools whose
-// owning threads have already exited.
+// BufferPool statistics: the process-wide block counts see every thread's
+// acquires and releases, including those of threads that have exited.
 #include "common/buffer.h"
 
 #include <gtest/gtest.h>
@@ -10,99 +9,26 @@
 namespace dnstime {
 namespace {
 
-TEST(BufferPoolStats, PerClassAccounting) {
-  BufferPool pool;
-  // 100 bytes rounds up to the 128-byte class (index 1: 64 << 1).
-  BufferPool::Block* b = pool.acquire(100);
-  {
-    const BufferPool::Stats& s = pool.stats();
-    EXPECT_EQ(s.fresh_allocs, 1u);
-    EXPECT_EQ(s.outstanding, 1u);
-    EXPECT_EQ(s.classes[1].fresh_allocs, 1u);
-    EXPECT_EQ(s.classes[1].outstanding, 1u);
-    EXPECT_EQ(s.classes[0].fresh_allocs, 0u);
-  }
-  pool.release(b);
-  {
-    const BufferPool::Stats& s = pool.stats();
-    EXPECT_EQ(s.outstanding, 0u);
-    EXPECT_EQ(s.classes[1].outstanding, 0u);
-    EXPECT_EQ(s.classes[1].cached_blocks, 1u);
-    EXPECT_EQ(s.classes[1].cached_bytes, 128u);
-  }
-  // Same class again: must be a pool hit, not a fresh allocation.
-  BufferPool::Block* b2 = pool.acquire(128);
-  {
-    const BufferPool::Stats& s = pool.stats();
-    EXPECT_EQ(s.pool_hits, 1u);
-    EXPECT_EQ(s.classes[1].pool_hits, 1u);
-    EXPECT_EQ(s.classes[1].cached_blocks, 0u);
-    EXPECT_EQ(s.classes[1].cached_bytes, 0u);
-  }
-  pool.release(b2);
-}
-
-TEST(BufferPoolStats, OversizeBypassesClasses) {
-  BufferPool pool;
-  const std::size_t oversize =
-      (std::size_t{1} << BufferPool::kMaxClassShift) + 1;
-  BufferPool::Block* b = pool.acquire(oversize);
-  {
-    const BufferPool::Stats& s = pool.stats();
-    EXPECT_EQ(s.oversize_allocs, 1u);
-    EXPECT_EQ(s.outstanding, 1u);
-    for (const BufferPool::Stats::PerClass& pc : s.classes) {
-      EXPECT_EQ(pc.fresh_allocs, 0u);
-      EXPECT_EQ(pc.outstanding, 0u);
-    }
-  }
-  pool.release(b);
-  const BufferPool::Stats& s = pool.stats();
-  EXPECT_EQ(s.outstanding, 0u);
-  EXPECT_EQ(s.cached_blocks, 0u);  // oversize blocks are never cached
-}
-
-TEST(BufferPoolStats, TrimZeroesCachedIncludingPerClass) {
-  BufferPool pool;
-  pool.release(pool.acquire(64));
-  pool.release(pool.acquire(4096));
-  EXPECT_EQ(pool.stats().cached_blocks, 2u);
-  pool.trim();
-  EXPECT_EQ(pool.stats().cached_blocks, 0u);
-  EXPECT_EQ(pool.stats().cached_bytes, 0u);
-  for (const BufferPool::Stats::PerClass& pc : pool.stats().classes) {
-    EXPECT_EQ(pc.cached_blocks, 0u);
-    EXPECT_EQ(pc.cached_bytes, 0u);
-  }
-}
-
 TEST(BufferPoolStats, AggregateSpansLiveAndRetiredPools) {
   const BufferPool::Stats before = BufferPool::aggregate_stats();
 
-  // A worker thread whose pool traffic goes through BufferPool::local(),
-  // then exits: its thread_local pool destructs and folds into the
-  // registry's retired accumulator.
+  // A worker thread that acquires and releases, then exits.
   std::thread worker([] {
     for (int i = 0; i < 10; ++i) {
-      BufferPool::local().release(BufferPool::local().acquire(512));
+      BufferPool::release(BufferPool::acquire(512));
     }
   });
   worker.join();
 
-  // A live pool on this thread contributes too.
-  BufferPool live;
-  BufferPool::Block* b = live.acquire(512);
+  // A block still live on this thread counts too.
+  BufferPool::Block* b = BufferPool::acquire(512);
 
   const BufferPool::Stats after = BufferPool::aggregate_stats();
-  // 1 fresh alloc + 9 hits on the worker, 1 fresh on the live pool.
-  EXPECT_EQ(after.fresh_allocs - before.fresh_allocs, 2u);
-  EXPECT_EQ(after.pool_hits - before.pool_hits, 9u);
+  // Every acquire takes a fresh block: 10 on the worker, 1 here.
+  EXPECT_EQ(after.fresh_allocs - before.fresh_allocs, 11u);
   EXPECT_EQ(after.outstanding - before.outstanding, 1u);
-  const std::size_t cls512 = 3;  // 64 << 3 = 512
-  EXPECT_EQ(after.classes[cls512].fresh_allocs -
-                before.classes[cls512].fresh_allocs,
-            2u);
-  live.release(b);
+  EXPECT_EQ(after.pool_hits, 0u);
+  BufferPool::release(b);
 }
 
 }  // namespace

@@ -215,17 +215,17 @@ TEST(EventLoop, CancelDestroysCallbackEagerly) {
   // Regression: cancel() used to only flag the slot, leaving the SmallFn —
   // and everything it captured — alive until the timestamp popped. A
   // cancelled far-future timer (say a 6-hour attack deadline holding a
-  // PacketBuf) would pin its pool block for simulated hours. cancel() must
+  // PacketBuf) would pin its block for simulated hours. cancel() must
   // release captured resources immediately.
-  const u64 base = BufferPool::local().outstanding();
+  const u64 base = BufferPool::aggregate_stats().outstanding;
   EventLoop loop;
   PacketBuf buf{1, 2, 3, 4};
-  EXPECT_EQ(BufferPool::local().outstanding(), base + 1);
+  EXPECT_EQ(BufferPool::aggregate_stats().outstanding, base + 1);
   EventHandle h = loop.schedule_after(Duration::hours(6),
                                       [b = std::move(buf)] { (void)b; });
-  EXPECT_EQ(BufferPool::local().outstanding(), base + 1);
+  EXPECT_EQ(BufferPool::aggregate_stats().outstanding, base + 1);
   h.cancel();
-  EXPECT_EQ(BufferPool::local().outstanding(), base)
+  EXPECT_EQ(BufferPool::aggregate_stats().outstanding, base)
       << "cancelled slot must not keep its capture until the pop";
   // The cancelled node still pops (advancing the clock) without firing.
   loop.run_all();
