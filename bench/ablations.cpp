@@ -41,7 +41,7 @@ double simulated_hit_rate(std::size_t spray_width, double background_rate,
       q.id = cs->rng().next_u16();
       q.questions = {dns::DnsQuestion{
           dns::DnsName::from_string("pool.ntp.org"), dns::RrType::kA}};
-      cs->send_udp(ns, cs->ephemeral_port(), kDnsPort, encode_dns(q));
+      cs->send_udp(ns, cs->ephemeral_port(), kDnsPort, encode_dns_buf(q));
       world.loop().schedule_after(interval, tick);
     };
     tick();

@@ -56,9 +56,5 @@ int main(int argc, char** argv) {
       "\n  'The chances of a successful attack against Chronos are actually\n"
       "  higher than against a traditional NTP client during boot-time,\n"
       "  since the attacker effectively has 12 tries in 24 hours.'\n");
-  if ((!opts.out.empty() || opts.json) &&
-      !campaign::write_report(opts, report)) {
-    return 1;
-  }
-  return 0;
+  return campaign::write_report(opts, report) ? 0 : 1;
 }

@@ -81,9 +81,5 @@ int main(int argc, char** argv) {
       "\n  Expectation: every client falls at boot time; only clients that\n"
       "  re-query DNS at run time (ntpd, chrony, Android, systemd) fall at\n"
       "  run time. openntpd/ntpclient stall instead of re-querying.\n");
-  if ((!opts.out.empty() || opts.json) &&
-      !campaign::write_report(opts, report)) {
-    return 1;
-  }
-  return 0;
+  return campaign::write_report(opts, report) ? 0 : 1;
 }

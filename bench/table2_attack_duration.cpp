@@ -76,9 +76,5 @@ int main(int argc, char** argv) {
       "  duration quantiles:\n\n%s",
       static_cast<unsigned long long>(report.seed),
       report.trials_per_scenario, report.to_table().c_str());
-  if ((!opts.out.empty() || opts.json) &&
-      !campaign::write_report(opts, report)) {
-    return 1;
-  }
-  return 0;
+  return campaign::write_report(opts, report) ? 0 : 1;
 }

@@ -87,9 +87,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\n  Shape checks: P2 >= P1 everywhere; both shrink as m grows;\n"
       "  choosing which servers to remove (P2) helps most at odd m.\n");
-  if ((!opts.out.empty() || opts.json) &&
-      !campaign::write_report(opts, report)) {
-    return 1;
-  }
-  return 0;
+  return campaign::write_report(opts, report) ? 0 : 1;
 }

@@ -69,8 +69,6 @@ int main(int argc, char** argv) {
         "The sweep's shape mirrors the paper: fragmentation needs a small\n"
         "attack MTU, the run-time attack leans on the rate-limiting\n"
         "fraction, and shorter pool TTLs shrink the poisoning window.\n");
-  } else if (!campaign::write_report(opts, report)) {
-    return 1;
   }
-  return 0;
+  return campaign::write_report(opts, report) ? 0 : 1;
 }

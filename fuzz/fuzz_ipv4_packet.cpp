@@ -7,10 +7,9 @@
 //
 // decode_ipv4 must return or throw DecodeError; any other escape is a
 // finding. An accepted packet p is a fixed point of the codec:
-// decode_ipv4(encode(p)) equals p field by field, payload bytes included
-// (options and the reserved flag bit are not modelled, so the bytes
-// themselves need not round-trip), and the copying encoder and the pooled
-// one agree byte for byte: encode(p) == encode_buf(p).
+// decode_ipv4(encode_buf(p)) equals p field by field, payload bytes
+// included (options and the reserved flag bit are not modelled, so the
+// bytes themselves need not round-trip).
 #include <cstdint>
 #include <cstdlib>
 
@@ -38,8 +37,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   } catch (const DecodeError&) {
     return 0;
   }
-  const Bytes wire = net::encode(pkt);
-  if (!(net::encode_buf(pkt) == wire)) std::abort();
-  if (!same_fields(net::decode_ipv4(wire), pkt)) std::abort();
+  if (!same_fields(net::decode_ipv4(net::encode_buf(pkt)), pkt)) std::abort();
   return 0;
 }

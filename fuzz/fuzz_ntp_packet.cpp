@@ -2,12 +2,13 @@
 //
 // decode_ntp must return or throw DecodeError; on success the 16-byte
 // fixed header (LVM/stratum/poll/precision/root fields/refid) must
-// round-trip byte-exactly through encode_ntp. Timestamp words are excluded
-// from the byte comparison: the wire<->double conversion is documented as
-// lossy below double precision, which is a representation property, not a
-// parser bug. decode_config_response is noexcept-by-contract (it returns
-// nullopt on malformed input), and a decoded response must round-trip
-// byte-exactly through encode_config_response.
+// round-trip byte-exactly through encode_ntp_buf. Timestamp words are
+// excluded from the byte comparison: the wire<->double conversion is
+// documented as lossy below double precision, which is a representation
+// property, not a parser bug. decode_config_response is
+// noexcept-by-contract (it returns nullopt on malformed input), and a
+// decoded response must round-trip byte-exactly through
+// encode_config_response_buf.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -20,20 +21,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   try {
     ntp::NtpPacket pkt = ntp::decode_ntp({data, size});
-    Bytes wire = ntp::encode_ntp(pkt);
+    const PacketBuf wire = ntp::encode_ntp_buf(pkt);
     if (wire.size() != 48) std::abort();
     if (std::memcmp(wire.data(), data, 16) != 0) std::abort();
     ntp::NtpPacket again = ntp::decode_ntp(wire);
-    Bytes wire2 = ntp::encode_ntp(again);
+    const PacketBuf wire2 = ntp::encode_ntp_buf(again);
     if (wire != wire2) std::abort();  // encoder not idempotent
   } catch (const DecodeError&) {
   }
 
   if (auto resp = ntp::decode_config_response({data, size})) {
-    Bytes wire = ntp::encode_config_response(*resp);
+    const PacketBuf wire = ntp::encode_config_response_buf(*resp);
     auto again = ntp::decode_config_response(wire);
     if (!again) std::abort();  // canonical encoding must decode
-    if (ntp::encode_config_response(*again) != wire) std::abort();
+    if (ntp::encode_config_response_buf(*again) != wire) std::abort();
   }
   return 0;
 }

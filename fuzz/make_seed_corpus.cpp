@@ -54,7 +54,7 @@ void dns_seeds() {
   query.id = 0x1234;
   query.questions.push_back({DnsName::from_string("0.pool.ntp.org"),
                              RrType::kA});
-  write_seed("dns_message", "query", encode_dns(query));
+  write_seed("dns_message", "query", encode_dns_buf(query));
 
   DnsMessage resp;
   resp.id = 0xBEEF;
@@ -82,13 +82,13 @@ void dns_seeds() {
   sig.covered = RrType::kA;
   sig.signature = sign_rrset(42, sig.name, RrType::kA, resp.answers);
   resp.additional.push_back(sig);
-  write_seed("dns_message", "response", encode_dns(resp));
+  write_seed("dns_message", "response", encode_dns_buf(resp));
 
   DnsMessage nx;
   nx.id = 1;
   nx.qr = true;
   nx.rcode = Rcode::kNxDomain;
-  write_seed("dns_message", "nxdomain", encode_dns(nx));
+  write_seed("dns_message", "nxdomain", encode_dns_buf(nx));
 }
 
 void ntp_seeds() {
@@ -96,7 +96,7 @@ void ntp_seeds() {
   NtpPacket client;
   client.mode = Mode::kClient;
   client.tx_time = kSimEpochNtpSeconds;
-  write_seed("ntp_packet", "client", encode_ntp(client));
+  write_seed("ntp_packet", "client", encode_ntp_buf(client));
 
   NtpPacket server;
   server.mode = Mode::kServer;
@@ -106,19 +106,20 @@ void ntp_seeds() {
   server.rx_time = kSimEpochNtpSeconds + 0.25;
   server.tx_time = kSimEpochNtpSeconds + 0.375;
   server.ref_time = kSimEpochNtpSeconds - 16.0;
-  write_seed("ntp_packet", "server", encode_ntp(server));
+  write_seed("ntp_packet", "server", encode_ntp_buf(server));
 
   NtpPacket kod;
   kod.mode = Mode::kServer;
   kod.stratum = 0;
   kod.refid = kKodRate;
-  write_seed("ntp_packet", "kod-rate", encode_ntp(kod));
+  write_seed("ntp_packet", "kod-rate", encode_ntp_buf(kod));
 
   write_seed("ntp_packet", "config-request", encode_config_request());
   ConfigResponse resp;
   resp.upstream_addrs = {Ipv4Addr{0x0A000001}, Ipv4Addr{0x0A000002}};
   resp.configured_hostname = "0.debian.pool.ntp.org";
-  write_seed("ntp_packet", "config-response", encode_config_response(resp));
+  write_seed("ntp_packet", "config-response",
+             encode_config_response_buf(resp));
 }
 
 void icmp_frag_needed_seeds() {
@@ -174,9 +175,7 @@ void udp_datagram_seeds() {
   resp.answers.push_back(dns::make_a(dns::DnsName::from_string("pool.ntp.org"),
                                      pool, 150));
   seed("dns-response", ns, resolver,
-       encode_udp({.src_port = 53, .dst_port = 33333,
-                   .payload = dns::encode_dns(resp)},
-                  ns, resolver));
+       encode_udp_buf(dns::encode_dns_buf(resp), 53, 33333, ns, resolver));
 
   // Checksum 0: RFC 768's "no checksum", accepted unverified.
   Bytes unchecked = flood.to_bytes();
@@ -209,7 +208,7 @@ void ipv4_packet_seeds() {
   ntp_query.id = 0x0102;
   ntp_query.payload = encode_udp_buf(ntp::encode_ntp_buf(query), kNtpPort,
                                      kNtpPort, victim, pool);
-  write_seed("ipv4_packet", "ntp-mode3", encode(ntp_query));
+  write_seed("ipv4_packet", "ntp-mode3", encode_buf(ntp_query));
 
   // A pool answer the nameserver fragments to the attack's 296-byte MTU:
   // the first fragment carries the UDP header, and the last one is the
@@ -228,17 +227,17 @@ void ipv4_packet_seeds() {
   answer.src = ns;
   answer.dst = resolver;
   answer.id = 0x4242;
-  answer.payload = encode_udp({.src_port = 53, .dst_port = 33333,
-                               .payload = dns::encode_dns(resp)},
-                              ns, resolver);
+  answer.payload =
+      encode_udp_buf(dns::encode_dns_buf(resp), 53, 33333, ns, resolver);
   const std::vector<Ipv4Packet> frags = fragment(answer, 296);
-  write_seed("ipv4_packet", "dns-first-fragment", encode(frags.front()));
-  write_seed("ipv4_packet", "dns-last-fragment", encode(frags.back()));
+  write_seed("ipv4_packet", "dns-first-fragment", encode_buf(frags.front()));
+  write_seed("ipv4_packet", "dns-last-fragment", encode_buf(frags.back()));
 
   // The §III-1 forgery as it goes on the wire: the attacker tells the
   // nameserver that its packets to the resolver need 296-byte fragments.
   write_seed("ipv4_packet", "icmp-frag-needed",
-             encode(make_frag_needed_packet(attacker, ns, ns, resolver, 296)));
+             encode_buf(
+                 make_frag_needed_packet(attacker, ns, ns, resolver, 296)));
 }
 
 void reassembly_seeds() {

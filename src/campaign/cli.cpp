@@ -290,9 +290,13 @@ bool write_report(const CliOptions& opts, const CampaignReport& report) {
     text = report.to_json(include_trials,
                           opts.metrics ? metrics_json() : std::string{}) +
            "\n";
-  } else {
+  } else if (!opts.out.empty()) {
     text = report.to_table();
     if (opts.metrics) text += metrics_table();
+  } else if (opts.metrics) {
+    // The program printed its own view of the report to stdout; only the
+    // metrics block is left to write.
+    text = metrics_table();
   }
   if (opts.out.empty()) {
     if (std::fwrite(text.data(), 1, text.size(), stdout) != text.size()) {

@@ -57,7 +57,10 @@ struct CliOptions {
 [[nodiscard]] bool parse_u64_token(const char* s, u64& out);
 
 /// Writes the report — to_json() when opts.json, to_table() otherwise —
-/// to opts.out, or stdout when opts.out is empty. Journaled campaigns
+/// to opts.out, or stdout when opts.out is empty. With neither --out nor
+/// --json the program prints its own view of the report, so only the
+/// --metrics block goes to stdout (nothing without --metrics); every
+/// campaign program calls this once, unconditionally. Journaled campaigns
 /// (config.journal_dir set) serialise aggregates only: the per-trial rows
 /// live in the journal and store::read_report() rebuilds them. With
 /// opts.metrics, a telemetry section (obs registry snapshot + process-wide

@@ -129,12 +129,6 @@ void write_dns(ByteWriter& w, const DnsMessage& msg) {
 
 }  // namespace
 
-Bytes encode_dns(const DnsMessage& msg) {
-  ByteWriter w;
-  write_dns(w, msg);
-  return std::move(w).take();
-}
-
 PacketBuf encode_dns_buf(const DnsMessage& msg) {
   ByteWriter w;
   write_dns(w, msg);

@@ -64,8 +64,6 @@ struct RecordSpan {
   std::size_t rdata_length;
 };
 
-[[nodiscard]] Bytes encode_dns(const DnsMessage& msg);
-
 /// Encode into a pooled buffer with packet headroom — the payload the
 /// resolver/nameserver hot paths hand straight to NetStack::send_udp.
 [[nodiscard]] PacketBuf encode_dns_buf(const DnsMessage& msg);

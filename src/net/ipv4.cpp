@@ -27,12 +27,6 @@ void write_ipv4(ByteWriter& w, const Ipv4Packet& pkt) {
 
 }  // namespace
 
-Bytes encode(const Ipv4Packet& pkt) {
-  ByteWriter w;
-  write_ipv4(w, pkt);
-  return std::move(w).take();
-}
-
 PacketBuf encode_buf(const Ipv4Packet& pkt) {
   ByteWriter w;
   write_ipv4(w, pkt);

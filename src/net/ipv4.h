@@ -52,9 +52,6 @@ struct Ipv4Packet {
 };
 
 /// Encode to wire bytes, computing the header checksum.
-[[nodiscard]] Bytes encode(const Ipv4Packet& pkt);
-
-/// Encode into a pooled buffer (zero extra copies).
 [[nodiscard]] PacketBuf encode_buf(const Ipv4Packet& pkt);
 
 /// Decode from wire bytes; throws DecodeError on malformed input or a bad

@@ -22,37 +22,7 @@ u16 datagram_checksum(std::span<const u8> wire, Ipv4Addr src, Ipv4Addr dst) {
   return csum == 0 ? 0xFFFF : csum;
 }
 
-/// Shared header parse + checksum verification; returns the payload range.
-std::pair<UdpDatagram, std::pair<std::size_t, std::size_t>> parse_udp(
-    std::span<const u8> data, Ipv4Addr src, Ipv4Addr dst) {
-  ByteReader r(data);
-  UdpDatagram d;
-  d.src_port = r.read_u16();
-  d.dst_port = r.read_u16();
-  u16 length = r.read_u16();
-  if (length < kUdpHeaderSize || length > data.size()) {
-    throw DecodeError("bad UDP length");
-  }
-  u16 wire_csum = r.read_u16();
-  if (wire_csum != 0) {
-    u16 sum = pseudo_header_sum(src, dst, kProtoUdp, length);
-    sum = ones_complement_add(sum, ones_complement_sum(data.subspan(0, length)));
-    if (static_cast<u16>(~sum) != 0) throw DecodeError("bad UDP checksum");
-  }
-  return {std::move(d), {kUdpHeaderSize, length - kUdpHeaderSize}};
-}
-
 }  // namespace
-
-u16 udp_checksum(const UdpDatagram& dgram, Ipv4Addr src, Ipv4Addr dst) {
-  ByteWriter w;
-  w.write_u16(dgram.src_port);
-  w.write_u16(dgram.dst_port);
-  w.write_u16(static_cast<u16>(kUdpHeaderSize + dgram.payload.size()));
-  w.write_u16(0);
-  w.write_bytes(dgram.payload);
-  return datagram_checksum(w.data(), src, dst);
-}
 
 PacketBuf encode_udp_buf(PacketBuf payload, u16 src_port, u16 dst_port,
                          Ipv4Addr src, Ipv4Addr dst) {
@@ -66,21 +36,23 @@ PacketBuf encode_udp_buf(PacketBuf payload, u16 src_port, u16 dst_port,
   return dgram;
 }
 
-Bytes encode_udp(const UdpDatagram& dgram, Ipv4Addr src, Ipv4Addr dst) {
-  return encode_udp_buf(dgram.payload, dgram.src_port, dgram.dst_port, src,
-                        dst)
-      .to_bytes();
-}
-
-UdpDatagram decode_udp(std::span<const u8> data, Ipv4Addr src, Ipv4Addr dst) {
-  auto [d, range] = parse_udp(data, src, dst);
-  d.payload = PacketBuf::copy_of(data.subspan(range.first, range.second));
-  return d;
-}
-
 UdpDatagram decode_udp_buf(const PacketBuf& wire, Ipv4Addr src, Ipv4Addr dst) {
-  auto [d, range] = parse_udp(wire.span(), src, dst);
-  d.payload = wire.slice(range.first, range.second);
+  ByteReader r(wire.span());
+  UdpDatagram d;
+  d.src_port = r.read_u16();
+  d.dst_port = r.read_u16();
+  u16 length = r.read_u16();
+  if (length < kUdpHeaderSize || length > wire.size()) {
+    throw DecodeError("bad UDP length");
+  }
+  u16 wire_csum = r.read_u16();
+  if (wire_csum != 0) {
+    u16 sum = pseudo_header_sum(src, dst, kProtoUdp, length);
+    sum = ones_complement_add(
+        sum, ones_complement_sum(wire.span().subspan(0, length)));
+    if (static_cast<u16>(~sum) != 0) throw DecodeError("bad UDP checksum");
+  }
+  d.payload = wire.slice(kUdpHeaderSize, length - kUdpHeaderSize);
   return d;
 }
 

@@ -17,10 +17,6 @@ struct UdpDatagram {
   PacketBuf payload;
 };
 
-/// Encode with checksum computed over pseudo header + UDP header + payload.
-[[nodiscard]] Bytes encode_udp(const UdpDatagram& dgram, Ipv4Addr src,
-                               Ipv4Addr dst);
-
 /// Zero-copy encode: prepends the 8-byte UDP header into `payload`'s
 /// headroom (builders reserve kPacketHeadroom) and patches the checksum in
 /// place — the datagram the netstack's send path hands to fragmentation.
@@ -28,17 +24,10 @@ struct UdpDatagram {
                                        u16 dst_port, Ipv4Addr src,
                                        Ipv4Addr dst);
 
-/// Decode and verify the checksum; throws DecodeError on mismatch.
-[[nodiscard]] UdpDatagram decode_udp(std::span<const u8> data, Ipv4Addr src,
-                                     Ipv4Addr dst);
-
-/// Zero-copy decode: the returned datagram's payload is a slice of `wire`
-/// (no byte copies). Same validation as the span overload.
+/// Decode and verify the checksum; throws DecodeError on a malformed
+/// datagram or a checksum mismatch. Zero-copy: the returned datagram's
+/// payload is a slice of `wire`.
 [[nodiscard]] UdpDatagram decode_udp_buf(const PacketBuf& wire, Ipv4Addr src,
                                      Ipv4Addr dst);
-
-/// Compute the checksum that `encode_udp` would place in the header.
-[[nodiscard]] u16 udp_checksum(const UdpDatagram& dgram, Ipv4Addr src,
-                               Ipv4Addr dst);
 
 }  // namespace dnstime::net

@@ -23,12 +23,6 @@ void write_ntp(ByteWriter& w, const NtpPacket& pkt) {
 
 }  // namespace
 
-Bytes encode_ntp(const NtpPacket& pkt) {
-  ByteWriter w;
-  write_ntp(w, pkt);
-  return std::move(w).take();
-}
-
 PacketBuf encode_ntp_buf(const NtpPacket& pkt) {
   ByteWriter w;
   write_ntp(w, pkt);
@@ -85,12 +79,6 @@ void write_config_response(ByteWriter& w, const ConfigResponse& resp) {
 }
 
 }  // namespace
-
-Bytes encode_config_response(const ConfigResponse& resp) {
-  ByteWriter w;
-  write_config_response(w, resp);
-  return std::move(w).take();
-}
 
 PacketBuf encode_config_response_buf(const ConfigResponse& resp) {
   ByteWriter w;

@@ -44,8 +44,8 @@ struct NtpPacket {
   }
 };
 
-[[nodiscard]] Bytes encode_ntp(const NtpPacket& pkt);
-/// Pooled-buffer encode for the send paths (clients, servers, floods).
+/// Encode with packet headroom, for the send paths (clients, servers,
+/// floods).
 [[nodiscard]] PacketBuf encode_ntp_buf(const NtpPacket& pkt);
 [[nodiscard]] NtpPacket decode_ntp(std::span<const u8> data);
 
@@ -62,7 +62,6 @@ struct ConfigResponse {
 
 [[nodiscard]] Bytes encode_config_request();
 [[nodiscard]] bool is_config_request(std::span<const u8> data);
-[[nodiscard]] Bytes encode_config_response(const ConfigResponse& resp);
 [[nodiscard]] PacketBuf encode_config_response_buf(const ConfigResponse& resp);
 [[nodiscard]] std::optional<ConfigResponse> decode_config_response(
     std::span<const u8> data);

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <optional>
 
 #include "dns/pool_zone.h"
 #include "ntp/client_base.h"
@@ -36,8 +35,7 @@ ClientPopulation::ClientPopulation(World& world, PopulationConfig config)
       config_(std::move(config)),
       rng_(config_.seed),
       gateways_(make_gateways(world, config_.gateways)),
-      stub_(*gateways_.front()->stack, world.resolver_addr()),
-      queue_(kMaxPollSeconds) {
+      stub_(*gateways_.front()->stack, world.resolver_addr()) {
   config_.batch_cap = std::max(config_.batch_cap, 1u);
   const u32 n = config_.clients;
   server_.assign(n, 0);
@@ -81,8 +79,12 @@ u64 ClientPopulation::now_s() const {
   return ns <= 0 ? 0 : static_cast<u64>(ns) / 1'000'000'000u;
 }
 
+void ClientPopulation::push(sim::Time at, std::vector<u32> batch) {
+  if (!batch.empty()) queue_[at].push_back(std::move(batch));
+}
+
 void ClientPopulation::arm(std::vector<u32> batch, u64 delay_s) {
-  queue_.push(at_second(now_s() + delay_s), std::move(batch));
+  push(at_second(now_s() + delay_s), std::move(batch));
 }
 
 void ClientPopulation::backoff(std::vector<u32> batch) {
@@ -105,20 +107,20 @@ void ClientPopulation::backoff(std::vector<u32> batch) {
 }
 
 void ClientPopulation::rearm_driver() {
-  const std::optional<sim::SecondCalendar::Entry> top = queue_.peek();
-  if (!top) {
+  if (queue_.empty()) {
     if (driver_armed_) {
       driver_.cancel();
       driver_armed_ = false;
     }
     return;
   }
+  const sim::Time top = queue_.begin()->first;
   // An already-armed driver that fires at or before the new head still
   // works (an early pump pops nothing and re-arms); only a head that moved
   // *earlier* forces a reschedule.
-  if (driver_armed_ && driver_.valid() && driver_at_ <= top->at) return;
+  if (driver_armed_ && driver_.valid() && driver_at_ <= top) return;
   if (driver_armed_) driver_.cancel();
-  sim::Time at = top->at;
+  sim::Time at = top;
   const sim::Time now = world_.loop().now();
   if (at < now) at = now;
   driver_ = world_.loop().schedule_at(at, [this] { pump(); });
@@ -128,26 +130,31 @@ void ClientPopulation::rearm_driver() {
 
 void ClientPopulation::pump() {
   driver_armed_ = false;  // our handle just fired
-  due_scratch_.clear();
-  queue_.pop_due(world_.loop().now(), due_scratch_);
-
+  // Every instant up to now, in key order, each one's batches in push
+  // order; nothing pushes while they are walked.
+  const auto due_end = queue_.upper_bound(world_.loop().now());
   const u64 s = now_s();
-  for (u32 i : due_scratch_) {
-    if (server_[i] == 0 || dns_expiry_s_[i] <= s) {
-      if (cached_a_.empty() || s >= cache_expiry_s_) {
-        // Unresolved or TTL-expired: this poll waits on the shared
-        // resolver.
-        dns_waiters_.push_back(i);
-        metrics_.dns_waits++;
-        continue;
+  for (auto it = queue_.begin(); it != due_end; ++it) {
+    for (const std::vector<u32>& batch : it->second) {
+      for (u32 i : batch) {
+        if (server_[i] == 0 || dns_expiry_s_[i] <= s) {
+          if (cached_a_.empty() || s >= cache_expiry_s_) {
+            // Unresolved or TTL-expired: this poll waits on the shared
+            // resolver.
+            dns_waiters_.push_back(i);
+            metrics_.dns_waits++;
+            continue;
+          }
+          // The shared resolver would answer this from its cache; serve
+          // the fleet-level copy instead of issuing another query.
+          server_[i] = cached_a_[cache_next_++ % cached_a_.size()];
+          dns_expiry_s_[i] = cache_expiry_s_;
+        }
+        polls_for(server_[i]).push_back(i);
       }
-      // The shared resolver would answer this from its cache; serve the
-      // fleet-level copy instead of issuing another query.
-      server_[i] = cached_a_[cache_next_++ % cached_a_.size()];
-      dns_expiry_s_[i] = cache_expiry_s_;
     }
-    polls_for(server_[i]).push_back(i);
   }
+  queue_.erase(queue_.begin(), due_end);
   dispatch_polls();
   maybe_resolve();
   rearm_driver();
@@ -241,7 +248,7 @@ void ClientPopulation::on_dns(const std::vector<dns::ResourceRecord>& answers) {
       dns_expiry_s_[i] = cache_expiry_s_;
     }
     // Poll immediately on the fresh assignment.
-    queue_.push(world_.loop().now(), std::move(waiters));
+    push(world_.loop().now(), std::move(waiters));
   }
   maybe_resolve();  // waiters queued while the query was in flight
   rearm_driver();
@@ -305,10 +312,16 @@ double ClientPopulation::resident_bytes_per_client() const {
                       poll_s_.capacity() * sizeof(u16) +
                       flags_.capacity() * sizeof(u8) +
                       dns_waiters_.capacity() * sizeof(u32) +
-                      due_scratch_.capacity() * sizeof(u32) +
                       cached_a_.capacity() * sizeof(u32) +
-                      by_server_.capacity() * sizeof(ServerPolls) +
-                      queue_.memory_bytes();
+                      by_server_.capacity() * sizeof(ServerPolls);
+  // A map node holds its value, a colour word and three links.
+  bytes += queue_.size() * (sizeof(*queue_.begin()) + 4 * sizeof(void*));
+  for (const auto& [at, batches] : queue_) {
+    bytes += batches.capacity() * sizeof(std::vector<u32>);
+    for (const std::vector<u32>& batch : batches) {
+      bytes += batch.capacity() * sizeof(u32);
+    }
+  }
   for (const ServerPolls& p : by_server_) {
     bytes += p.clients.capacity() * sizeof(u32);
   }

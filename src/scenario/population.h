@@ -5,11 +5,12 @@
 // allocations per client before the first packet moves. ClientPopulation
 // instead keeps the whole fleet as flat struct-of-arrays state — one
 // server address, one accumulated clock shift, one DNS expiry, one poll
-// interval and one flags byte per client — and queues every poll deadline
-// in a sim::SecondCalendar (src/sim/second_calendar.h): a ring of
-// per-second FIFO buckets of batches. One push carries every client that
-// one exchange, back-off or DNS answer re-arms for the same instant, so a
-// queued client costs a 4-byte index and no callback.
+// interval and one flags byte per client — and queues its poll deadlines
+// as batches in a std::map keyed by due instant, each instant's batches in
+// push order, behind one driver event on the World's loop. One push
+// carries every client that one exchange, back-off or DNS answer re-arms
+// for the same instant, so a queued client costs a 4-byte index and no
+// callback.
 //
 // The fleet still speaks the real protocols. Clients whose polls land in
 // the same whole second of simulated time (deadlines are quantised to a
@@ -32,8 +33,8 @@
 // shared-resolver amplification (§VIII-B3: one cache entry redirects every
 // client behind the resolver).
 //
-// Determinism: deadlines pop from the calendar in (time, push) order, and
-// one pass over a due second appends each poll that goes on the wire to
+// Determinism: deadlines pop from the map in (time, push) order, and one
+// pass over the due instants appends each poll that goes on the wire to
 // its server's list in that order. The lists are emitted in ascending
 // server address and cut at batch_cap, so every batch holds exactly the
 // clients a stable sort by server would have put there, in the same
@@ -43,13 +44,13 @@
 // Equal seeds give byte-equal fleet state at any point.
 #pragma once
 
+#include <map>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "dns/resolver.h"
 #include "scenario/world.h"
-#include "sim/second_calendar.h"
 
 namespace dnstime::scenario {
 
@@ -57,7 +58,7 @@ namespace dnstime::scenario {
 /// polls are staggered uniformly across one interval so cohorts spread.
 inline constexpr u16 kPollSeconds = 64;
 /// Backoff ceiling after KoD / timeout (the interval doubles per failure);
-/// also the furthest any poll is armed ahead, which sizes the calendar.
+/// also the furthest any poll is armed ahead.
 inline constexpr u16 kMaxPollSeconds = 1024;
 
 struct PopulationConfig {
@@ -106,8 +107,9 @@ class ClientPopulation {
   /// Fraction of clients currently assigned an attacker NTP server.
   [[nodiscard]] double fraction_on_attacker() const;
 
-  /// Resident heap bytes of fleet state (SoA vectors, calendar batches,
-  /// scratch and per-server lists), amortised per client.
+  /// Resident heap bytes of fleet state (SoA vectors, queued batches and
+  /// their map nodes, DNS waiters and per-server lists), amortised per
+  /// client.
   /// tests/scenario/population_test.cpp holds it to <= 28 B/client.
   [[nodiscard]] double resident_bytes_per_client() const;
 
@@ -122,17 +124,20 @@ class ClientPopulation {
   }
   [[nodiscard]] u64 now_s() const;
 
+  /// Queue `batch` behind the batches already due at `at`; an empty batch
+  /// is a no-op.
+  void push(sim::Time at, std::vector<u32> batch);
   /// Queue the next poll of every client in `batch` `delay_s`
-  /// (1..kMaxPollSeconds) whole seconds from now, as one calendar push
+  /// (1..kMaxPollSeconds) whole seconds from now, as one push
   /// (grid-quantised, so co-due clients batch).
   void arm(std::vector<u32> batch, u64 delay_s);
   /// Double each client's poll interval (up to kMaxPollSeconds) and arm
   /// it: one push per distinct interval, each in batch order.
   void backoff(std::vector<u32> batch);
 
-  /// Driver: pops every due calendar entry, groups the due clients by
+  /// Driver: takes every batch due by now, groups the due clients by
   /// server, sends the representative exchanges / the shared DNS query,
-  /// re-arms itself at the calendar's next deadline.
+  /// re-arms itself at the earliest queued instant.
   void pump();
   void rearm_driver();
   /// The polls list of `server`, added in address order on first use.
@@ -169,13 +174,14 @@ class ClientPopulation {
   std::vector<u16> poll_s_;       ///< current poll interval, seconds
   std::vector<u8> flags_;
 
-  sim::SecondCalendar queue_;  ///< payloads = client indices
+  /// Queued batches of client indices by due instant, each instant's
+  /// batches in push order.
+  std::map<sim::Time, std::vector<std::vector<u32>>> queue_;
   sim::EventHandle driver_;
   sim::Time driver_at_;
   bool driver_armed_ = false;
 
   std::vector<u32> dns_waiters_;
-  std::vector<u32> due_scratch_;
 
   /// This pump's wire polls grouped by server, ascending address, each
   /// list in pop order. Kept across pumps, so a steady fleet allocates

@@ -51,14 +51,12 @@ TEST(ChecksumFixer, WorksForAllDeltas) {
 TEST(ChecksumFixer, EndToEndUdpChecksumSurvivesSplitAndSplice) {
   // Simulate the real situation: a UDP datagram is split; the second part
   // is mutated and fixed; the reassembled datagram must still pass
-  // decode_udp's checksum verification.
+  // decode_udp_buf's checksum verification.
   Ipv4Addr src{198, 51, 100, 53}, dst{10, 53, 0, 1};
   Bytes payload(300);
   Rng rng{11};
   for (auto& b : payload) b = static_cast<u8>(rng.uniform(0, 255));
-  net::UdpDatagram dgram{.src_port = 53, .dst_port = 4242,
-                         .payload = payload};
-  Bytes wire = net::encode_udp(dgram, src, dst);
+  Bytes wire = net::encode_udp_buf(payload, 53, 4242, src, dst).to_bytes();
 
   const std::size_t split = 160;  // 8-aligned
   Bytes f2(wire.begin() + split, wire.end());
@@ -72,7 +70,7 @@ TEST(ChecksumFixer, EndToEndUdpChecksumSurvivesSplitAndSplice) {
   Bytes spliced(wire.begin(), wire.begin() + split);
   spliced.insert(spliced.end(), f2_evil.begin(), f2_evil.end());
   // Must decode without checksum error and carry the mutated bytes.
-  net::UdpDatagram out = net::decode_udp(spliced, src, dst);
+  net::UdpDatagram out = net::decode_udp_buf(spliced, src, dst);
   EXPECT_EQ(out.payload[split - net::kUdpHeaderSize + 20], 0x66);
 }
 

@@ -55,7 +55,7 @@ TEST_P(CraftSweep, CraftedFragmentSplicesOrRefuses) {
                      dns::RrType::kA};
 
   dns::DnsMessage template_msg = zone.peek_response(q);
-  Bytes template_wire = encode_dns(template_msg);
+  const PacketBuf template_wire = encode_dns_buf(template_msg);
 
   CraftConfig cc;
   cc.ns_addr = kNs;
@@ -74,10 +74,8 @@ TEST_P(CraftSweep, CraftedFragmentSplicesOrRefuses) {
   full.dst = kResolver;
   full.id = 0x77;
   full.protocol = net::kProtoUdp;
-  full.payload = net::encode_udp(
-      net::UdpDatagram{.src_port = 53, .dst_port = 5555,
-                       .payload = encode_dns(victim_msg)},
-      kNs, kResolver);
+  full.payload = net::encode_udp_buf(encode_dns_buf(victim_msg), 53, 5555,
+                                     kNs, kResolver);
   auto frags = net::fragment(full, tc.mtu);
   ASSERT_GE(frags.size(), 2u);
   // The crafter targets two-fragment splits; with more fragments the
@@ -93,7 +91,7 @@ TEST_P(CraftSweep, CraftedFragmentSplicesOrRefuses) {
 
   // Must pass the UDP checksum and decode to redirected glue.
   net::UdpDatagram dgram =
-      net::decode_udp(reassembled->payload, kNs, kResolver);
+      net::decode_udp_buf(reassembled->payload, kNs, kResolver);
   dns::DnsMessage poisoned = dns::decode_dns(dgram.payload);
   EXPECT_EQ(poisoned.id, 0x4242);
   std::size_t redirected = 0;
@@ -118,7 +116,7 @@ TEST(CraftSweep, RefusalCasesAreExplainable) {
   cc.malicious_addrs = {kEvil};
   for (u16 mtu : {296, 548, 1280}) {
     cc.mtu = mtu;
-    EXPECT_FALSE(craft_spoofed_second_fragment(encode_dns(small), cc))
+    EXPECT_FALSE(craft_spoofed_second_fragment(encode_dns_buf(small), cc))
         << mtu;
   }
 }

@@ -42,7 +42,7 @@ CraftConfig config() {
 }
 
 TEST(FragmentCrafter, RewritesGlueRecords) {
-  Bytes wire = encode_dns(pool_response());
+  const PacketBuf wire = encode_dns_buf(pool_response());
   auto crafted = craft_spoofed_second_fragment(wire, config());
   ASSERT_TRUE(crafted);
   EXPECT_EQ(crafted->rewritten_records, 3u);  // all three glue A records
@@ -60,13 +60,14 @@ TEST(FragmentCrafter, FailsWhenResponseDoesNotFragment) {
       dns::DnsName::from_string("pool.ntp.org"), dns::RrType::kA}};
   small.answers.push_back(dns::make_a(
       dns::DnsName::from_string("pool.ntp.org"), Ipv4Addr{1, 1, 1, 1}, 150));
-  EXPECT_FALSE(craft_spoofed_second_fragment(encode_dns(small), config()));
+  EXPECT_FALSE(craft_spoofed_second_fragment(encode_dns_buf(small), config()));
 }
 
 TEST(FragmentCrafter, FailsWithoutMaliciousAddrs) {
   CraftConfig cc = config();
   cc.malicious_addrs.clear();
-  EXPECT_FALSE(craft_spoofed_second_fragment(encode_dns(pool_response()), cc));
+  EXPECT_FALSE(
+      craft_spoofed_second_fragment(encode_dns_buf(pool_response()), cc));
 }
 
 TEST(FragmentCrafter, EndToEndPoisonedReassemblyPassesAllChecks) {
@@ -75,7 +76,7 @@ TEST(FragmentCrafter, EndToEndPoisonedReassemblyPassesAllChecks) {
   // prefers it; the result passes the UDP checksum and decodes to a DNS
   // message whose glue points at the attacker.
   dns::DnsMessage genuine = pool_response();
-  Bytes template_wire = encode_dns(genuine);
+  const PacketBuf template_wire = encode_dns_buf(genuine);
   CraftConfig cc = config();
   auto crafted = craft_spoofed_second_fragment(template_wire, cc);
   ASSERT_TRUE(crafted);
@@ -89,10 +90,8 @@ TEST(FragmentCrafter, EndToEndPoisonedReassemblyPassesAllChecks) {
   full.dst = kResolver;
   full.id = 0x4242;
   full.protocol = net::kProtoUdp;
-  full.payload = net::encode_udp(
-      net::UdpDatagram{.src_port = 53, .dst_port = 3333,
-                       .payload = encode_dns(victim_copy)},
-      kNs, kResolver);
+  full.payload = net::encode_udp_buf(encode_dns_buf(victim_copy), 53, 3333,
+                                     kNs, kResolver);
   auto frags = net::fragment(full, cc.mtu);
   ASSERT_EQ(frags.size(), 2u);
 
@@ -106,7 +105,7 @@ TEST(FragmentCrafter, EndToEndPoisonedReassemblyPassesAllChecks) {
 
   // Transport layer: UDP checksum must verify (the §III-3 compensation).
   net::UdpDatagram dgram =
-      net::decode_udp(reassembled->payload, kNs, kResolver);
+      net::decode_udp_buf(reassembled->payload, kNs, kResolver);
   EXPECT_EQ(dgram.dst_port, 3333);
 
   // Application layer: DNS must parse; glue must now be attacker's.
@@ -149,7 +148,7 @@ TEST(FragmentCrafter, TemplateWithDifferentRotationStillWorks) {
   victim_msg.id = 0x9999;
 
   auto crafted =
-      craft_spoofed_second_fragment(encode_dns(template_msg), config());
+      craft_spoofed_second_fragment(encode_dns_buf(template_msg), config());
   ASSERT_TRUE(crafted);
 
   net::Ipv4Packet full;
@@ -157,10 +156,8 @@ TEST(FragmentCrafter, TemplateWithDifferentRotationStillWorks) {
   full.dst = kResolver;
   full.id = 7;
   full.protocol = net::kProtoUdp;
-  full.payload = net::encode_udp(
-      net::UdpDatagram{.src_port = 53, .dst_port = 1111,
-                       .payload = encode_dns(victim_msg)},
-      kNs, kResolver);
+  full.payload = net::encode_udp_buf(encode_dns_buf(victim_msg), 53, 1111,
+                                     kNs, kResolver);
   auto frags = net::fragment(full, 296);
   ASSERT_EQ(frags.size(), 2u);
 
@@ -173,7 +170,7 @@ TEST(FragmentCrafter, TemplateWithDifferentRotationStillWorks) {
   // Checksum still verifies despite the answers differing: they live in
   // fragment 1, which we did not touch.
   net::UdpDatagram dgram =
-      net::decode_udp(reassembled->payload, kNs, kResolver);
+      net::decode_udp_buf(reassembled->payload, kNs, kResolver);
   dns::DnsMessage poisoned = dns::decode_dns(dgram.payload);
   EXPECT_EQ(poisoned.additional[0].a, kEvil);
   EXPECT_EQ(poisoned.answers[0].a, victim_msg.answers[0].a);

@@ -38,7 +38,7 @@ TEST(IpidProber, TracksBackgroundTrafficRate) {
     q.questions = {dns::DnsQuestion{
         dns::DnsName::from_string("pool.ntp.org"), dns::RrType::kA}};
     chatty_stack->send_udp(ns, chatty_stack->ephemeral_port(), kDnsPort,
-                           encode_dns(q));
+                           encode_dns_buf(q));
     world.loop().schedule_after(Duration::millis(250), tick);
   };
   tick();

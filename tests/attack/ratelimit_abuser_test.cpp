@@ -91,7 +91,7 @@ TEST(RateLimitAbuser, VictimPollsGoUnanswered) {
   ntp::NtpPacket query;
   query.mode = ntp::Mode::kClient;
   query.tx_time = 5.0;
-  victim.stack->send_udp(target, port, kNtpPort, encode_ntp(query));
+  victim.stack->send_udp(target, port, kNtpPort, encode_ntp_buf(query));
   world.run_for(Duration::seconds(5));
   EXPECT_FALSE(answered);
 }
@@ -113,7 +113,7 @@ TEST(RateLimitAbuser, NonLimitingServerUnaffected) {
   ntp::NtpPacket query;
   query.mode = ntp::Mode::kClient;
   query.tx_time = 5.0;
-  victim.stack->send_udp(target, port, kNtpPort, encode_ntp(query));
+  victim.stack->send_udp(target, port, kNtpPort, encode_ntp_buf(query));
   world.run_for(Duration::seconds(5));
   EXPECT_TRUE(answered) << "servers without rate limiting cannot be abused";
 }
@@ -135,7 +135,7 @@ TEST(RateLimitAbuser, OtherClientsCollateralFree) {
   ntp::NtpPacket query;
   query.mode = ntp::Mode::kClient;
   query.tx_time = 5.0;
-  bystander.stack->send_udp(target, port, kNtpPort, encode_ntp(query));
+  bystander.stack->send_udp(target, port, kNtpPort, encode_ntp_buf(query));
   world.run_for(Duration::seconds(5));
   EXPECT_TRUE(answered);
 }

@@ -35,13 +35,13 @@ TEST(DnsFuzzRegression, DottedLabelDoesNotAliasCompressionTarget) {
   ASSERT_EQ(msg.answers[1].name.labels().size(), 1u);
   EXPECT_EQ(msg.answers[1].name.labels()[0], "a.b");
 
-  Bytes reencoded = encode_dns(msg);
+  const PacketBuf reencoded = encode_dns_buf(msg);
   DnsMessage reparsed = decode_dns(reencoded);
   EXPECT_EQ(reparsed, msg);  // used to come back with answers[1] = ["a","b"]
   ASSERT_EQ(reparsed.answers[1].name.labels().size(), 1u);
   EXPECT_EQ(reparsed.answers[1].name.labels()[0], "a.b");
   // And idempotence on top of identity.
-  EXPECT_EQ(encode_dns(reparsed), reencoded);
+  EXPECT_EQ(encode_dns_buf(reparsed), reencoded);
 }
 
 // The general property the fuzzer enforces, pinned on a nontrivial
@@ -56,10 +56,10 @@ TEST(DnsFuzzRegression, DecodeEncodeIdentityOnCompressedResponse) {
       make_a(DnsName::from_string("0.pool.ntp.org"), Ipv4Addr{0x0A000001}, 150));
   msg.authority.push_back(make_ns(DnsName::from_string("pool.ntp.org"),
                                   DnsName::from_string("ns1.ntp.org"), 3600));
-  Bytes wire = encode_dns(msg);
+  const PacketBuf wire = encode_dns_buf(msg);
   DnsMessage reparsed = decode_dns(wire);
   EXPECT_EQ(reparsed, msg);
-  EXPECT_EQ(encode_dns(reparsed), wire);
+  EXPECT_EQ(encode_dns_buf(reparsed), wire);
 }
 
 }  // namespace

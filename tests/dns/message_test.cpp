@@ -27,7 +27,7 @@ DnsMessage sample_response() {
 
 TEST(DnsMessage, RoundTrip) {
   DnsMessage m = sample_response();
-  DnsMessage back = decode_dns(encode_dns(m));
+  DnsMessage back = decode_dns(encode_dns_buf(m));
   EXPECT_EQ(back.id, 0xBEEF);
   EXPECT_TRUE(back.qr);
   EXPECT_TRUE(back.aa);
@@ -50,7 +50,7 @@ TEST(DnsMessage, RcodeAndFlagsRoundTrip) {
   m.ad = true;
   m.tc = true;
   m.questions = {DnsQuestion{DnsName::from_string("x.example"), RrType::kA}};
-  DnsMessage back = decode_dns(encode_dns(m));
+  DnsMessage back = decode_dns(encode_dns_buf(m));
   EXPECT_EQ(back.rcode, Rcode::kNxDomain);
   EXPECT_TRUE(back.ad);
   EXPECT_TRUE(back.tc);
@@ -62,7 +62,7 @@ TEST(DnsMessage, TxtRecordRoundTrip) {
   m.questions = {DnsQuestion{DnsName::from_string("t.example"), RrType::kTxt}};
   std::string big(600, 'p');  // forces multiple character-strings
   m.answers.push_back(make_txt(DnsName::from_string("t.example"), big, 60));
-  DnsMessage back = decode_dns(encode_dns(m));
+  DnsMessage back = decode_dns(encode_dns_buf(m));
   ASSERT_EQ(back.answers.size(), 1u);
   EXPECT_EQ(back.answers[0].txt, big);
 }
@@ -78,7 +78,7 @@ TEST(DnsMessage, RrsigRoundTrip) {
   sig.covered = RrType::kA;
   sig.signature = 0x1122334455667788ull;
   m.answers.push_back(sig);
-  DnsMessage back = decode_dns(encode_dns(m));
+  DnsMessage back = decode_dns(encode_dns_buf(m));
   ASSERT_EQ(back.answers.size(), 1u);
   EXPECT_EQ(back.answers[0].covered, RrType::kA);
   EXPECT_EQ(back.answers[0].signature, 0x1122334455667788ull);
@@ -86,7 +86,7 @@ TEST(DnsMessage, RrsigRoundTrip) {
 
 TEST(DnsMessage, SpansLocateRdata) {
   DnsMessage m = sample_response();
-  Bytes wire = encode_dns(m);
+  Bytes wire = encode_dns_buf(m).to_bytes();
   std::vector<RecordSpan> spans;
   (void)decode_dns(wire, &spans);
   ASSERT_EQ(spans.size(), 4u);

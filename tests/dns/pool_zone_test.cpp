@@ -88,7 +88,7 @@ TEST(PoolZone, DelegationGlueFormsMessageTail) {
   EXPECT_EQ(resp.additional.size(), 3u);
 
   // On the wire, the glue A rdata must be the last record spans.
-  Bytes wire = encode_dns(resp);
+  const PacketBuf wire = encode_dns_buf(resp);
   std::vector<RecordSpan> spans;
   (void)decode_dns(wire, &spans);
   ASSERT_GE(spans.size(), 3u);
@@ -114,8 +114,8 @@ TEST(PoolZone, TxtPaddingInflatesResponse) {
   PoolZone plain(DnsName::from_string("pool.ntp.org"), make_servers(4), cfg);
   cfg.pad_txt_bytes = 200;
   PoolZone padded(DnsName::from_string("pool.ntp.org"), make_servers(4), cfg);
-  std::size_t plain_size = encode_dns(plain.peek_response(q)).size();
-  std::size_t padded_size = encode_dns(padded.peek_response(q)).size();
+  std::size_t plain_size = encode_dns_buf(plain.peek_response(q)).size();
+  std::size_t padded_size = encode_dns_buf(padded.peek_response(q)).size();
   EXPECT_GE(padded_size, plain_size + 200);
 }
 

@@ -81,7 +81,7 @@ TEST(Resolver, RdZeroAnswersOnlyFromCache) {
     answer_counts.push_back(decode_dns(payload).answers.size());
   });
   w.client_stack.send_udp(w.res_stack.addr(), port, kDnsPort,
-                          encode_dns(probe));
+                          encode_dns_buf(probe));
   w.loop.run_for(Duration::seconds(2));
   ASSERT_EQ(answer_counts.size(), 1u);
   EXPECT_EQ(answer_counts[0], 0u);
@@ -92,7 +92,7 @@ TEST(Resolver, RdZeroAnswersOnlyFromCache) {
                  [](const std::vector<ResourceRecord>&) {});
   w.loop.run_for(Duration::seconds(5));
   w.client_stack.send_udp(w.res_stack.addr(), port, kDnsPort,
-                          encode_dns(probe));
+                          encode_dns_buf(probe));
   w.loop.run_for(Duration::seconds(2));
   ASSERT_EQ(answer_counts.size(), 2u);
   EXPECT_EQ(answer_counts[1], 1u);  // now cached -> answered with RD=0
@@ -136,10 +136,8 @@ TEST(Resolver, SpoofedResponseWithWrongTxidRejected) {
     pkt.src = w.ns_stack.addr();  // spoofed source
     pkt.dst = w.res_stack.addr();
     pkt.protocol = net::kProtoUdp;
-    pkt.payload = net::encode_udp(
-        net::UdpDatagram{.src_port = kDnsPort,
-                         .dst_port = static_cast<u16>(1024 + guess),
-                         .payload = encode_dns(forged)},
+    pkt.payload = net::encode_udp_buf(
+        encode_dns_buf(forged), kDnsPort, static_cast<u16>(1024 + guess),
         w.ns_stack.addr(), w.res_stack.addr());
     attacker.send_raw(pkt);
   }

@@ -20,7 +20,7 @@ TEST(NtpPacket, RoundTrip) {
   pkt.org_time = kSimEpochNtpSeconds + 1.25;
   pkt.rx_time = kSimEpochNtpSeconds + 1.5;
   pkt.tx_time = kSimEpochNtpSeconds + 1.75;
-  Bytes wire = encode_ntp(pkt);
+  const PacketBuf wire = encode_ntp_buf(pkt);
   ASSERT_EQ(wire.size(), 48u);
   NtpPacket back = decode_ntp(wire);
   EXPECT_EQ(back.mode, Mode::kServer);
@@ -44,8 +44,7 @@ TEST(NtpPacket, KodDetection) {
   kod.refid = kKodRate;
   EXPECT_TRUE(kod.is_kod());
   EXPECT_TRUE(kod.is_rate_kod());
-  Bytes wire = encode_ntp(kod);
-  EXPECT_TRUE(decode_ntp(wire).is_rate_kod());
+  EXPECT_TRUE(decode_ntp(encode_ntp_buf(kod)).is_rate_kod());
 
   NtpPacket normal;
   normal.stratum = 2;
@@ -62,7 +61,7 @@ TEST(NtpPacket, ConfigMessagesRoundTrip) {
   ConfigResponse resp;
   resp.upstream_addrs = {Ipv4Addr{1, 2, 3, 4}, Ipv4Addr{5, 6, 7, 8}};
   resp.configured_hostname = "pool.ntp.org";
-  auto back = decode_config_response(encode_config_response(resp));
+  auto back = decode_config_response(encode_config_response_buf(resp));
   ASSERT_TRUE(back);
   EXPECT_EQ(back->upstream_addrs.size(), 2u);
   EXPECT_EQ(back->configured_hostname, "pool.ntp.org");

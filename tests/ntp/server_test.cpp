@@ -26,7 +26,8 @@ struct ServerWorld {
     NtpPacket q;
     q.mode = Mode::kClient;
     q.tx_time = client_wall;
-    client_stack.send_udp(server_stack.addr(), port, kNtpPort, encode_ntp(q));
+    client_stack.send_udp(server_stack.addr(), port, kNtpPort,
+                          encode_ntp_buf(q));
     loop.run_for(Duration::seconds(1));
     client_stack.unbind_udp(port);
     return got;
@@ -83,13 +84,13 @@ TEST(NtpServer, ShortAndNonClientDatagramsNeverChargeTheLimiter) {
 
   NtpPacket client;
   client.mode = Mode::kClient;
-  Bytes short_query = encode_ntp(client);
+  Bytes short_query = encode_ntp_buf(client).to_bytes();
   short_query.resize(47);
   NtpPacket reply;
   reply.mode = Mode::kServer;
   reply.stratum = 2;
   const std::vector<Bytes> junk = {
-      short_query, encode_ntp(reply),
+      short_query, encode_ntp_buf(reply).to_bytes(),
       Bytes{0x23}};  // a client LVM octet and nothing else
   for (int i = 0; i < 3; ++i) {
     for (const Bytes& dgram : junk) {

@@ -136,7 +136,7 @@ TEST(MetricsSection, DiffReaderParsesAndIgnoresMetrics) {
       "{\"counters\":{\"a\":1,\"b\":2},"
       "\"histograms\":{\"h\":{\"count\":1,\"sum\":4,\"min\":4,\"max\":4,"
       "\"buckets\":{\"2\":1}}},"
-      "\"buffer_pool\":{\"pool_hits\":0,\"classes\":{}}}";
+      "\"buffer_pool\":{\"fresh_allocs\":3,\"outstanding\":0}}";
   CampaignReport parsed =
       diff::parse_report(report.to_json(true, metrics), "test");
   // The metrics block is skipped, not modelled: the parsed report matches

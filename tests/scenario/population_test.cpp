@@ -144,11 +144,11 @@ TEST(ClientPopulation, ResidentMemoryStaysUnderBudget) {
   World world(wc);
   ClientPopulation pop(world, small_config(50'000, 21));
   world.run_for(Duration::seconds(150));
-  // Measured 24.8 B/client: 19 B of SoA state, a 4-byte index per queued
-  // client plus one header per calendar batch, the scratch vectors and the
-  // per-server poll lists.
+  // Measured 23.5 B/client: 19 B of SoA state, a 4-byte index per queued
+  // client plus one header per queued batch and one map node per queued
+  // instant, the DNS waiters and the per-server poll lists.
   EXPECT_LE(pop.resident_bytes_per_client(), 28.0)
-      << "flat SoA state plus calendar batches must stay within the "
+      << "flat SoA state plus queued batches must stay within the "
          "28 B/client population budget";
   EXPECT_GT(pop.metrics().polls, 0u);
 }
