@@ -26,8 +26,8 @@
 //  * slots carry a generation counter that backs cancellation handles —
 //    a stale handle can never touch the slot's next occupant;
 //  * callbacks are SmallFn (src/common/function.h): move-only with a
-//    64-byte inline buffer, so a typical capture (object pointer + packet)
-//    never touches the heap.
+//    64-byte inline buffer, so a typical capture (an object pointer plus
+//    an index or a handle) never touches the heap.
 #pragma once
 
 #include <cstdint>
@@ -137,6 +137,10 @@ class EventLoop {
 
   /// Queued events, including lazily-cancelled ones not yet popped.
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+
+  /// The seq the next scheduled event will take. Two events with adjacent
+  /// seqs at one instant pop back to back, whatever else is queued.
+  [[nodiscard]] u64 next_seq() const { return seq_; }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

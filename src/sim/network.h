@@ -13,8 +13,10 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -55,8 +57,12 @@ class Network {
   /// Inject a packet into the network. `pkt.src` is taken at face value —
   /// spoofing is permitted by design. Packets to unknown destinations are
   /// silently dropped (like the real Internet, no ICMP host-unreachable is
-  /// guaranteed). The rvalue overload moves the payload into the delivery
-  /// event — the hot path for senders that are done with the packet.
+  /// guaranteed). Loss and jitter are drawn per packet, in send order. A
+  /// packet that lands on the open train's instant, with no event
+  /// scheduled since that train's, joins the train; any other opens a new
+  /// train behind one loop event. The rvalue overload moves the payload
+  /// into the train — the hot path for senders that are done with the
+  /// packet.
   void send(net::Ipv4Packet&& pkt);
   void send(const net::Ipv4Packet& pkt) { send(net::Ipv4Packet{pkt}); }
 
@@ -77,11 +83,26 @@ class Network {
     return it == profiles_.end() ? default_profile_ : it->second;
   }
 
+  static constexpr u32 kNoTrain = std::numeric_limits<u32>::max();
+
+  void deliver_train(u32 train);
+
   EventLoop& loop_;
   Rng rng_;
   LinkProfile default_profile_;
   std::unordered_map<Ipv4Addr, PacketSink*> sinks_;
   std::unordered_map<u64, LinkProfile> profiles_;
+  /// Trains: the packets one delivery event carries, in send order. The
+  /// vectors are recycled through `free_trains_`, so the steady state
+  /// allocates nothing.
+  std::vector<std::vector<net::Ipv4Packet>> trains_;
+  std::vector<u32> free_trains_;
+  /// The open train, its instant, and the loop's next seq right after its
+  /// event was scheduled. A packet for that instant would take exactly
+  /// that seq, and so pop right after the train's last packet.
+  u32 open_ = kNoTrain;
+  Time open_at_;
+  u64 open_next_seq_ = 0;
   u64 packets_sent_ = 0;
   u64 packets_delivered_ = 0;
 };
