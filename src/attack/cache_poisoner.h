@@ -62,7 +62,6 @@ class CachePoisoner {
 
   net::NetStack& stack_;
   PoisonerConfig config_;
-  Bytes template_response_;
   std::optional<CraftedFragment> crafted_;
   IpidPrediction prediction_;
   std::unique_ptr<IpidProber> prober_;

@@ -42,7 +42,7 @@ void IpidProber::send_probe() {
   // Responses land on the bound port; the tap sees their IPIDs. The
   // handler exists purely to own/release the port.
   stack_.bind_udp(port,
-                  [](const net::UdpEndpoint&, u16, BufView) {});
+                  [](const net::UdpEndpoint&, u16, const PacketBuf&) {});
   stack_.send_udp(target_, port, kDnsPort, encode_dns_buf(query));
   stack_.loop().schedule_after(config_.spacing, [this, port] {
     stack_.unbind_udp(port);

@@ -7,7 +7,7 @@ namespace dnstime::attack {
 SmtpServer::SmtpServer(net::NetStack& stack, Ipv4Addr resolver)
     : stack_(stack), stub_(stack, resolver) {
   stack_.bind_udp(kSmtpPort, [this](const net::UdpEndpoint& from, u16,
-                                    BufView payload) {
+                                    const PacketBuf& payload) {
     mails_++;
     // Greeting banner: what a port scan observes (§VIII-B3's "small
     // portscan for SMTP servers").
@@ -34,7 +34,7 @@ void QueryTrigger::via_open_resolver(net::NetStack& attacker,
   query.questions = {dns::DnsQuestion{name, dns::RrType::kA}};
   u16 port = attacker.ephemeral_port();
   attacker.bind_udp(port, [&attacker, port](const net::UdpEndpoint&, u16,
-                                            BufView) {
+                                            const PacketBuf&) {
     attacker.unbind_udp(port);
   });
   DNSTIME_TRACE_INSTANT(attacker.now().ns(), "attack", "trigger");

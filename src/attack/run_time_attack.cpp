@@ -70,7 +70,7 @@ void RunTimeAttack::query_refid() {
   query.tx_time = 1.0;
   u16 port = stack_.ephemeral_port();
   stack_.bind_udp(port, [this, port](const net::UdpEndpoint& from, u16,
-                                     BufView payload) {
+                                     const PacketBuf& payload) {
     stack_.unbind_udp(port);
     if (from.addr != config_.victim) return;
     try {
@@ -85,7 +85,7 @@ void RunTimeAttack::query_refid() {
 void RunTimeAttack::query_config() {
   u16 port = stack_.ephemeral_port();
   stack_.bind_udp(port, [this, port](const net::UdpEndpoint& from, u16,
-                                     BufView payload) {
+                                     const PacketBuf& payload) {
     stack_.unbind_udp(port);
     if (from.addr != config_.victim) return;
     auto resp = ntp::decode_config_response(payload);

@@ -83,32 +83,4 @@ u8* PacketBuf::prepend(std::size_t n) {
   return data_;
 }
 
-void PacketBuf::resize(std::size_t n) {
-  if (n <= len_) {
-    len_ = n;
-    return;
-  }
-  if (block_ && block_->refcount == 1 && tailroom() >= n - len_) {
-    std::memset(data_ + len_, 0, n - len_);
-    len_ = n;
-    return;
-  }
-  PacketBuf grown = uninitialized(n, kPacketHeadroom);
-  grown.origin_ = origin_;
-  if (len_ != 0) std::memcpy(grown.data_, data_, len_);
-  std::memset(grown.data_ + len_, 0, n - len_);
-  *this = std::move(grown);
-}
-
-void PacketBuf::assign(std::size_t n, u8 value) {
-  if (!(block_ && block_->refcount == 1 &&
-        block_->capacity - headroom() >= n)) {
-    const Origin origin = origin_;
-    *this = uninitialized(n, kPacketHeadroom);
-    origin_ = origin;
-  }
-  len_ = n;
-  if (n != 0) std::memset(data_, value, n);
-}
-
 }  // namespace dnstime

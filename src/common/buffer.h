@@ -10,14 +10,14 @@
 //  * BufferPool  — takes each block straight from operator new, with its
 //    capacity rounded up to a power of two, and counts blocks allocated
 //    and blocks live, process-wide.
-//  * PacketBuf   — a reference-counted window onto a block. Copying a
-//    PacketBuf bumps a (non-atomic) refcount; fragment slicing and header
-//    strip/prepend are offset arithmetic on the shared block. Mutating
-//    accessors copy-on-write, so aliased slices can never observe writes
-//    through another handle.
-//  * BufView     — a non-owning read-only view, the type UDP payload
-//    handlers receive. A BufView is only valid for the duration of the call
-//    that handed it out (see src/net/README.md for the aliasing rules).
+//  * PacketBuf   — a reference-counted window onto a block, and the one
+//    type for packet bytes: UDP handlers receive the delivered datagram's
+//    own PacketBuf by const reference. Copying a PacketBuf bumps a
+//    (non-atomic) refcount, so a handler keeps bytes by copying it;
+//    fragment slicing and header prepend are offset arithmetic on the
+//    shared block. Mutating accessors copy-on-write, so aliased slices can
+//    never observe writes through another handle (see src/net/README.md
+//    for the aliasing rules).
 //
 // Thread contract: a block may be released on any thread (it goes back to
 // operator delete, and the counters are atomics), but a PacketBuf and every
@@ -175,23 +175,10 @@ class PacketBuf {
   /// Aliasing sub-window [offset, offset+len) — zero copy, refcount++.
   [[nodiscard]] PacketBuf slice(std::size_t offset, std::size_t len) const;
 
-  /// Strip `n` leading bytes (header strip) — offset arithmetic.
-  void remove_prefix(std::size_t n) {
-    if (n > len_) throw std::out_of_range("PacketBuf::remove_prefix");
-    data_ += n;
-    len_ -= n;
-  }
-
   /// Grow the window `n` bytes to the left and return a pointer to the new
   /// region (header prepend). In place when this handle is unique and the
   /// block has headroom; otherwise the window is copied into a fresh block.
   u8* prepend(std::size_t n);
-
-  /// Vector-compatible resize: shrinking narrows the window; growth
-  /// zero-fills the new bytes (copy-on-write / reallocating as needed).
-  void resize(std::size_t n);
-  /// Vector-compatible fill-assign.
-  void assign(std::size_t n, u8 value);
 
   /// Writer support: set the window length to `n` bytes from the window
   /// start, which may extend into tailroom (the caller vouches the bytes
@@ -245,58 +232,6 @@ class PacketBuf {
   BufferPool::Block* block_ = nullptr;
   u8* data_ = nullptr;
   std::size_t len_ = 0;
-  Origin origin_{};
-};
-
-/// Non-owning read-only view over packet bytes — what UDP payload handlers
-/// receive. Valid only for the duration of the call that provided it;
-/// handlers that keep bytes must `to_bytes()` (see src/net/README.md).
-class BufView {
- public:
-  constexpr BufView() = default;
-  constexpr BufView(const u8* data, std::size_t size)
-      : data_(data), size_(size) {}
-  constexpr BufView(std::span<const u8> s) : data_(s.data()), size_(s.size()) {}
-  BufView(const Bytes& b) : data_(b.data()), size_(b.size()) {}
-  BufView(const PacketBuf& b)
-      : data_(b.data()), size_(b.size()), origin_(b.origin()) {}
-
-  [[nodiscard]] constexpr const u8* data() const { return data_; }
-  [[nodiscard]] constexpr std::size_t size() const { return size_; }
-  [[nodiscard]] constexpr bool empty() const { return size_ == 0; }
-  [[nodiscard]] constexpr const u8& operator[](std::size_t i) const {
-    return data_[i];
-  }
-  [[nodiscard]] constexpr const u8* begin() const { return data_; }
-  [[nodiscard]] constexpr const u8* end() const { return data_ + size_; }
-
-  [[nodiscard]] constexpr std::span<const u8> span() const {
-    return {data_, size_};
-  }
-  constexpr operator std::span<const u8>() const { return span(); }
-  [[nodiscard]] Bytes to_bytes() const { return Bytes(begin(), end()); }
-
-  /// Provenance stamp of the buffer this view was taken from (default
-  /// for views over plain byte ranges).
-  [[nodiscard]] constexpr const Origin& origin() const { return origin_; }
-
-  [[nodiscard]] BufView subview(std::size_t offset, std::size_t n) const {
-    if (offset > size_ || n > size_ - offset) {
-      throw std::out_of_range("BufView::subview");
-    }
-    BufView v{data_ + offset, n};
-    v.origin_ = origin_;
-    return v;
-  }
-
-  friend bool operator==(BufView a, BufView b) {
-    return a.size_ == b.size_ &&
-           (a.size_ == 0 || std::memcmp(a.data_, b.data_, a.size_) == 0);
-  }
-
- private:
-  const u8* data_ = nullptr;
-  std::size_t size_ = 0;
   Origin origin_{};
 };
 

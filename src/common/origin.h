@@ -47,7 +47,7 @@ enum class OriginModule : u8 {
   return "?";
 }
 
-/// Provenance stamp carried by every PacketBuf / BufView.
+/// Provenance stamp carried by every PacketBuf.
 struct Origin {
   /// The packet was injected with a forged source (NetStack::send_raw).
   static constexpr u8 kSpoofed = u8{1} << 0;

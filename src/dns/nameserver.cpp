@@ -42,7 +42,7 @@ bool StaticZone::handle(const DnsQuestion& q, DnsMessage& response) {
 Nameserver::Nameserver(net::NetStack& stack, Config config)
     : stack_(stack), config_(config) {
   stack_.bind_udp(kDnsPort, [this](const net::UdpEndpoint& from, u16,
-                                   BufView payload) {
+                                   const PacketBuf& payload) {
     on_query(from, payload);
   });
 }
@@ -50,7 +50,7 @@ Nameserver::Nameserver(net::NetStack& stack, Config config)
 Nameserver::~Nameserver() { stack_.unbind_udp(kDnsPort); }
 
 void Nameserver::on_query(const net::UdpEndpoint& from,
-                          BufView payload) {
+                          const PacketBuf& payload) {
   DnsMessage query;
   try {
     query = decode_dns(payload);

@@ -76,7 +76,7 @@ class Nameserver {
   [[nodiscard]] net::NetStack& stack() { return stack_; }
 
  private:
-  void on_query(const net::UdpEndpoint& from, BufView payload);
+  void on_query(const net::UdpEndpoint& from, const PacketBuf& payload);
 
   net::NetStack& stack_;
   Config config_;

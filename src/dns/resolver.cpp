@@ -19,7 +19,7 @@ constexpr int kUpstreamRetries = 1;
 Resolver::Resolver(net::NetStack& stack, Config config)
     : stack_(stack), config_(std::move(config)) {
   stack_.bind_udp(kDnsPort, [this](const net::UdpEndpoint& from, u16,
-                                   BufView payload) {
+                                   const PacketBuf& payload) {
     on_client_query(from, payload);
   });
 }
@@ -54,7 +54,7 @@ void Resolver::add_zone_hint(const DnsName& apex,
 }
 
 void Resolver::on_client_query(const net::UdpEndpoint& from,
-                               BufView payload) {
+                               const PacketBuf& payload) {
   DnsMessage query;
   try {
     query = decode_dns(payload);
@@ -158,7 +158,7 @@ void Resolver::send_upstream(u64 key, Pending& p) {
   p.src_port = stack_.ephemeral_port();
 
   stack_.bind_udp(p.src_port, [this, key](const net::UdpEndpoint& from, u16,
-                                          BufView payload) {
+                                          const PacketBuf& payload) {
     on_upstream_response(key, from, payload);
   });
 
@@ -174,7 +174,7 @@ void Resolver::send_upstream(u64 key, Pending& p) {
 }
 
 void Resolver::on_upstream_response(u64 key, const net::UdpEndpoint& from,
-                                    BufView payload) {
+                                    const PacketBuf& payload) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
   Pending& p = it->second;
@@ -380,7 +380,7 @@ void StubResolver::resolve(const DnsName& name, RrType type, Callback cb,
 
   stack_.bind_udp(port, [txid, name, type, finish](
                             const net::UdpEndpoint&, u16,
-                            BufView payload) {
+                            const PacketBuf& payload) {
     DnsMessage resp;
     try {
       resp = decode_dns(payload);

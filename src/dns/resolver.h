@@ -81,7 +81,7 @@ class Resolver {
     sim::EventHandle timeout;
   };
 
-  void on_client_query(const net::UdpEndpoint& from, BufView payload);
+  void on_client_query(const net::UdpEndpoint& from, const PacketBuf& payload);
   void answer_from_cache(const net::UdpEndpoint& to, u16 id,
                          const DnsQuestion& q,
                          const std::vector<ResourceRecord>& rrset);
@@ -91,7 +91,7 @@ class Resolver {
                       u16 client_id);
   void send_upstream(u64 pending_key, Pending& p);
   void on_upstream_response(u64 pending_key, const net::UdpEndpoint& from,
-                            BufView payload);
+                            const PacketBuf& payload);
   void on_upstream_timeout(u64 pending_key);
   void finish(u64 pending_key, const DnsMessage& response,
               const Origin& origin);

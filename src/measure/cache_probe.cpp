@@ -111,7 +111,7 @@ CacheProbeResult probe_open_resolvers(const CacheProbeConfig& config) {
     auto done = std::make_shared<bool>(false);
     scanner.bind_udp(port, [&scanner, port, done, cb](
                                const net::UdpEndpoint&, u16,
-                               BufView payload) {
+                               const PacketBuf& payload) {
       if (*done) return;
       *done = true;
       scanner.unbind_udp(port);

@@ -116,7 +116,7 @@ FragScanResult scan_domain_fragmentation(const FragScanConfig& config) {
     Target* t = targets[i].get();
     u16 port = static_cast<u16>(1024 + (i % 60000));
     scanner.bind_udp(port, [t](const net::UdpEndpoint&, u16,
-                               BufView payload) {
+                               const PacketBuf& payload) {
       try {
         dns::DnsMessage resp = dns::decode_dns(payload);
         t->answered = true;

@@ -67,7 +67,7 @@ RateLimitScanResult scan_pool_rate_limiting(
     u16 port = static_cast<u16>(1024 + i);
     scanner.bind_udp(port, [t, half, &loop, start = loop.now()](
                                const net::UdpEndpoint&, u16,
-                               BufView payload) {
+                               const PacketBuf& payload) {
       ntp::NtpPacket resp;
       try {
         resp = ntp::decode_ntp(payload);
@@ -103,7 +103,7 @@ RateLimitScanResult scan_pool_rate_limiting(
     Target* t = targets[i].get();
     u16 port = static_cast<u16>(40000 + (i % 20000));
     scanner.bind_udp(port, [t](const net::UdpEndpoint&, u16,
-                               BufView payload) {
+                               const PacketBuf& payload) {
       if (ntp::decode_config_response(payload)) t->config_answered = true;
     });
     scanner.send_udp(t->stack->addr(), port, kNtpPort,

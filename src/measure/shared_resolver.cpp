@@ -79,7 +79,7 @@ SharedResolverScanResult discover_shared_resolvers(
     Site* s = sp.get();
     u16 port = scanner.ephemeral_port();
     scanner.bind_udp(port, [s, &scanner, port](const net::UdpEndpoint&, u16,
-                                               BufView) {
+                                               const PacketBuf&) {
       s->found_open = true;
       scanner.unbind_udp(port);
     });
@@ -99,7 +99,7 @@ SharedResolverScanResult discover_shared_resolvers(
     Site* s = sp.get();
     u16 port = scanner.ephemeral_port();
     scanner.bind_udp(port, [s, &scanner, port](const net::UdpEndpoint&, u16,
-                                               BufView) {
+                                               const PacketBuf&) {
       s->found_smtp_host = true;
       scanner.unbind_udp(port);
     });

@@ -116,7 +116,7 @@ TimingProbeResult run_timing_probe(const TimingProbeConfig& config) {
             auto done = std::make_shared<bool>(false);
             prober.bind_udp(port, [t, &prober, port, sent, &loop, done](
                                       const net::UdpEndpoint&, u16,
-                                      BufView) {
+                                      const PacketBuf&) {
               if (*done) return;
               *done = true;
               prober.unbind_udp(port);

@@ -19,7 +19,8 @@ void write_icmp_frag_needed(ByteWriter& w, const IcmpFragNeeded& msg) {
   orig.src = msg.orig_src;
   orig.dst = msg.orig_dst;
   orig.protocol = msg.orig_protocol;
-  orig.payload.assign(8, 0);
+  constexpr u8 kZeroPayload[8] = {};
+  orig.payload = PacketBuf::copy_of(kZeroPayload);
   w.write_bytes(encode_buf(orig));
   w.patch_u16(2, internet_checksum(w.data()));
 }

@@ -75,8 +75,8 @@ u16 NetStack::next_ipid() {
   return 0;
 }
 
-void NetStack::send_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
-                        PacketBuf payload) {
+Ipv4Packet NetStack::frame_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
+                               PacketBuf payload) {
   Ipv4Packet pkt;
   pkt.src = addr_;
   pkt.dst = dst;
@@ -85,13 +85,10 @@ void NetStack::send_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
   pkt.payload = encode_udp_buf(std::move(payload), src_port, dst_port, addr_,
                                dst);
   DNSTIME_PROV_STAMP(pkt.payload, now().ns(), config_.origin_module, 0);
-  u16 mtu = path_mtu(dst);
-  if (pkt.total_length() <= mtu) {
-    // Common case: no fragmentation, no fragment-vector allocation.
-    packets_tx_++;
-    net_.send(std::move(pkt));
-    return;
-  }
+  return pkt;
+}
+
+void NetStack::send_fragments(const Ipv4Packet& pkt, u16 mtu) {
   datagrams_fragmented_++;
   for (auto& frag : fragment(pkt, mtu)) {
     packets_tx_++;
@@ -100,16 +97,22 @@ void NetStack::send_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
   }
 }
 
+void NetStack::send_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
+                        PacketBuf payload) {
+  Ipv4Packet pkt = frame_udp(dst, src_port, dst_port, std::move(payload));
+  const u16 mtu = path_mtu(dst);
+  if (pkt.total_length() <= mtu) {
+    // Common case: no fragmentation, no fragment-vector allocation.
+    packets_tx_++;
+    net_.send(std::move(pkt));
+    return;
+  }
+  send_fragments(pkt, mtu);
+}
+
 void NetStack::send_udp_fragmented(Ipv4Addr dst, u16 src_port, u16 dst_port,
                                    PacketBuf payload, u16 mtu) {
-  Ipv4Packet pkt;
-  pkt.src = addr_;
-  pkt.dst = dst;
-  pkt.id = next_ipid();
-  pkt.protocol = kProtoUdp;
-  pkt.payload = encode_udp_buf(std::move(payload), src_port, dst_port, addr_,
-                               dst);
-  DNSTIME_PROV_STAMP(pkt.payload, now().ns(), config_.origin_module, 0);
+  Ipv4Packet pkt = frame_udp(dst, src_port, dst_port, std::move(payload));
   // Force at least two fragments even when the datagram would fit: split
   // at an 8-byte boundary strictly inside the payload.
   u16 effective = mtu;
@@ -119,12 +122,7 @@ void NetStack::send_udp_fragmented(Ipv4Addr dst, u16 src_port, u16 dst_port,
                                             : 8);
     effective = static_cast<u16>(kIpv4HeaderSize + std::max<std::size_t>(cap, 8));
   }
-  datagrams_fragmented_++;
-  for (auto& frag : fragment(pkt, effective)) {
-    packets_tx_++;
-    fragments_tx_++;
-    net_.send(std::move(frag));
-  }
+  send_fragments(pkt, effective);
 }
 
 void NetStack::send_raw(Ipv4Packet pkt) {
@@ -203,8 +201,7 @@ void NetStack::handle_transport(const Ipv4Packet& pkt) {
   // port mid-call (one-shot transactions), which would otherwise destroy
   // the executing lambda.
   UdpHandler handler = it->second;
-  handler(UdpEndpoint{pkt.src, dgram.src_port}, dgram.dst_port,
-          BufView(dgram.payload));
+  handler(UdpEndpoint{pkt.src, dgram.src_port}, dgram.dst_port, dgram.payload);
 }
 
 void NetStack::handle_icmp(const Ipv4Packet& pkt) {

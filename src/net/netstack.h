@@ -58,12 +58,12 @@ struct UdpEndpoint {
 
 class NetStack : public sim::PacketSink {
  public:
-  /// `payload` is a non-owning view into the delivered (possibly
-  /// reassembled) datagram; it is valid only for the duration of the call.
-  /// Handlers that keep bytes must copy (`payload.to_bytes()`) — see
-  /// src/net/README.md for the ownership rules.
-  using UdpHandler = std::function<void(const UdpEndpoint& from,
-                                        u16 local_port, BufView payload)>;
+  /// `payload` is the delivered (possibly reassembled) datagram's own
+  /// PacketBuf: a slice of the packet's block, passed without a copy. A
+  /// handler that keeps the bytes copies the PacketBuf (one refcount bump,
+  /// no new block) — see src/net/README.md for the ownership rules.
+  using UdpHandler = std::function<void(
+      const UdpEndpoint& from, u16 local_port, const PacketBuf& payload)>;
 
   NetStack(sim::Network& net, Ipv4Addr addr, StackConfig config, Rng rng);
   ~NetStack() override;
@@ -87,7 +87,7 @@ class NetStack : public sim::PacketSink {
   /// Send a UDP datagram from this host, fragmenting per the path MTU
   /// registered for `dst`. The UDP header is prepended into the payload
   /// buffer's headroom (zero-copy for ByteWriter-built payloads; a `Bytes`
-  /// argument converts with one pooled copy).
+  /// argument converts with one copy into a new block).
   void send_udp(Ipv4Addr dst, u16 src_port, u16 dst_port, PacketBuf payload);
 
   /// Send a UDP datagram deliberately fragmented to `mtu`, regardless of
@@ -122,6 +122,10 @@ class NetStack : public sim::PacketSink {
   [[nodiscard]] u64 packets_tx() const { return packets_tx_; }
 
  private:
+  /// The send path's framing step: IPID draw, UDP encode, provenance stamp.
+  [[nodiscard]] Ipv4Packet frame_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
+                                     PacketBuf payload);
+  void send_fragments(const Ipv4Packet& pkt, u16 mtu);
   void handle_transport(const Ipv4Packet& pkt);
   void handle_icmp(const Ipv4Packet& pkt);
   [[nodiscard]] u16 next_ipid();

@@ -28,7 +28,7 @@ void poll_server(net::NetStack& stack, const SystemClock& clock,
 
   stack.bind_udp(port, [&stack, &clock, t1, server, finish](
                            const net::UdpEndpoint& from, u16,
-                           BufView payload) {
+                           const PacketBuf& payload) {
     if (from.addr != server || from.port != kNtpPort) return;
     NtpPacket resp;
     try {

@@ -47,18 +47,4 @@ RateLimiter::Action RateLimiter::check(Ipv4Addr src, sim::Time now) {
   return limited_action(st);
 }
 
-bool RateLimiter::is_limited(Ipv4Addr src, sim::Time now) const {
-  if (!config_.enabled) return false;
-  auto it = sources_.find(src);
-  if (it == sources_.end()) return false;
-  const SourceState& st = it->second;
-  if (!st.seen) return false;
-  sim::Duration gap = now - st.last_arrival;
-  if (gap < kMinGap) return true;
-  double tokens = std::min(
-      config_.burst,
-      st.tokens + gap.to_seconds() / kAvgInterval.to_seconds());
-  return tokens < 1.0;
-}
-
 }  // namespace dnstime::ntp

@@ -51,10 +51,6 @@ class RateLimiter {
   /// Account one query from `src` at `now` and decide the response.
   Action check(Ipv4Addr src, sim::Time now);
 
-  /// True if a query from `src` arriving now would be refused.
-  [[nodiscard]] bool is_limited(Ipv4Addr src, sim::Time now) const;
-  [[nodiscard]] const RateLimitConfig& config() const { return config_; }
-
  private:
   struct SourceState {
     sim::Time last_arrival;

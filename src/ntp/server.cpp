@@ -14,7 +14,7 @@ NtpServer::NtpServer(net::NetStack& stack, SystemClock& clock,
       config_(std::move(config)),
       limiter_(config_.rate_limit, stack.rng().fork()) {
   stack_.bind_udp(kNtpPort, [this](const net::UdpEndpoint& from, u16,
-                                   BufView payload) {
+                                   const PacketBuf& payload) {
     on_packet(from, payload);
   });
 }
@@ -22,7 +22,7 @@ NtpServer::NtpServer(net::NetStack& stack, SystemClock& clock,
 NtpServer::~NtpServer() { stack_.unbind_udp(kNtpPort); }
 
 void NtpServer::on_packet(const net::UdpEndpoint& from,
-                          BufView payload) {
+                          const PacketBuf& payload) {
   // Mode-6 configuration interface (if exposed).
   if (is_config_request(payload)) {
     if (config_.open_config_interface) {

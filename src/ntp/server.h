@@ -47,11 +47,10 @@ class NtpServer {
   [[nodiscard]] Ipv4Addr upstream() const { return upstream_; }
 
   [[nodiscard]] u64 dropped_rate_limited() const { return dropped_; }
-  [[nodiscard]] RateLimiter& rate_limiter() { return limiter_; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
 
  private:
-  void on_packet(const net::UdpEndpoint& from, BufView payload);
+  void on_packet(const net::UdpEndpoint& from, const PacketBuf& payload);
 
   net::NetStack& stack_;
   SystemClock& clock_;

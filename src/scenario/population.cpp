@@ -61,7 +61,7 @@ ClientPopulation::~ClientPopulation() {
   // population cannot fire into freed fleet state. (Exchange handlers are
   // bounded by ntp::kPollTimeout; trials tear the World down with the
   // population, so only the self-rescheduling driver needs this.)
-  if (driver_armed_) driver_.cancel();
+  driver_.cancel();
   DNSTIME_COUNT_ADD("population.clients", config_.clients);
   DNSTIME_COUNT_ADD("population.polls", metrics_.polls);
   DNSTIME_COUNT_ADD("population.exchanges", metrics_.exchanges);
@@ -108,28 +108,23 @@ void ClientPopulation::backoff(std::vector<u32> batch) {
 
 void ClientPopulation::rearm_driver() {
   if (queue_.empty()) {
-    if (driver_armed_) {
-      driver_.cancel();
-      driver_armed_ = false;
-    }
+    driver_.cancel();
     return;
   }
   const sim::Time top = queue_.begin()->first;
   // An already-armed driver that fires at or before the new head still
   // works (an early pump pops nothing and re-arms); only a head that moved
   // *earlier* forces a reschedule.
-  if (driver_armed_ && driver_.valid() && driver_at_ <= top) return;
-  if (driver_armed_) driver_.cancel();
+  if (driver_.valid() && driver_at_ <= top) return;
+  driver_.cancel();
   sim::Time at = top;
   const sim::Time now = world_.loop().now();
   if (at < now) at = now;
   driver_ = world_.loop().schedule_at(at, [this] { pump(); });
   driver_at_ = at;
-  driver_armed_ = true;
 }
 
 void ClientPopulation::pump() {
-  driver_armed_ = false;  // our handle just fired
   // Every instant up to now, in key order, each one's batches in push
   // order; nothing pushes while they are walked.
   const auto due_end = queue_.upper_bound(world_.loop().now());

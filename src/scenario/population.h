@@ -179,7 +179,6 @@ class ClientPopulation {
   std::map<sim::Time, std::vector<std::vector<u32>>> queue_;
   sim::EventHandle driver_;
   sim::Time driver_at_;
-  bool driver_armed_ = false;
 
   std::vector<u32> dns_waiters_;
 

@@ -48,7 +48,7 @@ class EventLoop;
 /// Handle used to cancel a scheduled event. The heap node stays queued until
 /// its timestamp pops (and is then skipped), but the callback itself is
 /// destroyed eagerly by cancel(): a cancelled callback can capture resources
-/// with global accounting (a PacketBuf keeping pool blocks outstanding, an
+/// with global accounting (a PacketBuf keeping blocks outstanding, an
 /// object keep-alive) and must not pin them until some far-future timestamp
 /// is reached. Handles are generation-checked:
 /// once the event has fired or been cancelled, the handle goes stale and
@@ -157,15 +157,14 @@ class EventLoop {
     u64 seq;
     u32 slot;
   };
-  /// One in-flight event: the callback plus the cancellation state its
-  /// handle checks. Recycled through a free-list; `gen` increments on
-  /// every release so stale handles can never touch the next occupant.
+  /// One in-flight event's callback, recycled through a free-list. `gen`
+  /// increments on every release, so a handle whose generation matches
+  /// names the event still queued here, and that event is live while the
+  /// slot holds a callback: cancel() empties it.
   struct Slot {
     EventFn fn;
     u32 gen = 0;
     u32 next_free = kNoSlot;
-    bool live = false;
-    bool cancelled = false;
   };
 
   /// (time, seq) packed into one integer, time in the high half. The cast
@@ -177,16 +176,15 @@ class EventLoop {
   }
 
   /// Pop the top event, advance the clock, release the slot, and run the
-  /// callback unless cancelled. The slot is released *before* the callback
-  /// runs, so a callback that schedules may reuse it — generation bumping
-  /// keeps old handles inert.
+  /// callback unless cancelled (an empty callback). The slot is released
+  /// *before* the callback runs, so a callback that schedules may reuse
+  /// it — generation bumping keeps old handles inert.
   void step() {
     const Node top = heap_pop();
     now_ = top.at;
-    const bool cancelled = slots_[top.slot].cancelled;
     EventFn fn = std::move(slots_[top.slot].fn);
     release_slot(top.slot);
-    if (cancelled) {
+    if (!fn) {
       stats_.cancelled++;
       return;
     }
@@ -208,14 +206,11 @@ class EventLoop {
       s = static_cast<u32>(slots_.size());
       slots_.push_back(Slot{.fn = EventFn(std::forward<F>(fn))});
     }
-    slots_[s].live = true;
-    slots_[s].cancelled = false;
     return s;
   }
 
   void release_slot(u32 s) {
     slots_[s].gen++;
-    slots_[s].live = false;
     slots_[s].next_free = free_head_;
     free_head_ = s;
   }
@@ -291,18 +286,17 @@ class EventLoop {
 inline void EventHandle::cancel() {
   if (loop_ == nullptr) return;
   auto& s = loop_->slots_[slot_];
-  if (s.live && s.gen == gen_) {
-    s.cancelled = true;
-    // Release captured resources now, not when the timestamp pops: step()
-    // only invokes the callback when uncancelled, so an empty fn is safe.
-    s.fn = EventFn{};
-  }
+  if (s.gen != gen_) return;
+  // Moving the callback out empties the slot, which step() reads as
+  // cancelled, before its captures die here: now, not when the timestamp
+  // pops.
+  EventFn dropped = std::move(s.fn);
 }
 
 inline bool EventHandle::valid() const {
   if (loop_ == nullptr) return false;
   const auto& s = loop_->slots_[slot_];
-  return s.live && s.gen == gen_ && !s.cancelled;
+  return s.gen == gen_ && static_cast<bool>(s.fn);
 }
 
 }  // namespace dnstime::sim

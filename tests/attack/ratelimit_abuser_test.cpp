@@ -59,30 +59,20 @@ struct FloodPath {
   }
 };
 
-TEST(RateLimitAbuser, VictimBecomesLimitedAtTargetServer) {
+TEST(RateLimitAbuser, VictimPollsGoUnanswered) {
   World world;  // all pool servers rate-limit
   RateLimitAbuser abuser(world.attacker(), kVictim);
   Ipv4Addr target = world.pool_server_addrs()[0];
   abuser.disrupt(target);
   world.run_for(Duration::seconds(30));
-  EXPECT_TRUE(world.pool_server(0).rate_limiter().is_limited(
-      kVictim, world.loop().now()));
   EXPECT_GT(abuser.packets_spoofed(), 10u);
-}
-
-TEST(RateLimitAbuser, VictimPollsGoUnanswered) {
-  World world;
-  RateLimitAbuser abuser(world.attacker(), kVictim);
-  Ipv4Addr target = world.pool_server_addrs()[0];
-  abuser.disrupt(target);
-  world.run_for(Duration::seconds(30));
 
   // The victim's genuine poll from its real host address gets nothing.
   auto& victim = world.add_host(kVictim);
   bool answered = false;
   u16 port = victim.stack->ephemeral_port();
   victim.stack->bind_udp(port, [&](const net::UdpEndpoint&, u16,
-                                   BufView payload) {
+                                   const PacketBuf& payload) {
     try {
       if (!ntp::decode_ntp(payload).is_kod()) answered = true;
     } catch (const DecodeError&) {
@@ -109,7 +99,7 @@ TEST(RateLimitAbuser, NonLimitingServerUnaffected) {
   bool answered = false;
   u16 port = victim.stack->ephemeral_port();
   victim.stack->bind_udp(port, [&](const net::UdpEndpoint&, u16,
-                                   BufView) { answered = true; });
+                                   const PacketBuf&) { answered = true; });
   ntp::NtpPacket query;
   query.mode = ntp::Mode::kClient;
   query.tx_time = 5.0;
@@ -131,7 +121,7 @@ TEST(RateLimitAbuser, OtherClientsCollateralFree) {
   bool answered = false;
   u16 port = bystander.stack->ephemeral_port();
   bystander.stack->bind_udp(port, [&](const net::UdpEndpoint&, u16,
-                                      BufView) { answered = true; });
+                                      const PacketBuf&) { answered = true; });
   ntp::NtpPacket query;
   query.mode = ntp::Mode::kClient;
   query.tx_time = 5.0;

@@ -44,16 +44,6 @@ TEST(PacketBuf, SliceSharesBytesWithParent) {
   EXPECT_EQ(mid, pattern(24, 16));
 }
 
-TEST(PacketBuf, RemovePrefixIsOffsetArithmetic) {
-  PacketBuf buf = PacketBuf::copy_of(pattern(40));
-  const u8* before = static_cast<const PacketBuf&>(buf).data();
-  buf.remove_prefix(8);
-  EXPECT_EQ(static_cast<const PacketBuf&>(buf).data(), before + 8);
-  EXPECT_EQ(buf.size(), 32u);
-  EXPECT_EQ(buf[0], 8);
-  EXPECT_THROW(buf.remove_prefix(33), std::out_of_range);
-}
-
 TEST(PacketBuf, PrependUsesHeadroomInPlace) {
   PacketBuf buf = PacketBuf::copy_of(pattern(16), /*headroom=*/8);
   EXPECT_EQ(buf.headroom(), 8u);
@@ -86,22 +76,6 @@ TEST(PacketBuf, PrependOnSharedBufferDoesNotDisturbAlias) {
   EXPECT_EQ(b[4], 0);
 }
 
-TEST(PacketBuf, ResizeAndAssignAreVectorCompatible) {
-  PacketBuf buf;
-  buf.resize(10);
-  EXPECT_EQ(buf, Bytes(10, 0));  // growth zero-fills
-  buf.assign(5, 0x77);
-  EXPECT_EQ(buf, Bytes(5, 0x77));
-  buf.resize(2);
-  EXPECT_EQ(buf, Bytes(2, 0x77));
-  // Growth of a shared buffer must not disturb the alias.
-  PacketBuf alias = buf;
-  buf.resize(4);
-  EXPECT_EQ(alias, Bytes(2, 0x77));
-  EXPECT_EQ(buf[0], 0x77);
-  EXPECT_EQ(buf[3], 0);
-}
-
 TEST(PacketBuf, ComparesWithBytesBothWays) {
   PacketBuf buf{1, 2, 3};
   Bytes same{1, 2, 3};
@@ -110,18 +84,6 @@ TEST(PacketBuf, ComparesWithBytesBothWays) {
   EXPECT_TRUE(same == buf);
   EXPECT_FALSE(buf == different);
   EXPECT_EQ(buf.to_bytes(), same);
-}
-
-TEST(BufView, ViewsWithoutOwning) {
-  Bytes storage = pattern(20);
-  BufView v(storage);
-  EXPECT_EQ(v.size(), 20u);
-  EXPECT_EQ(v[3], 3);
-  EXPECT_EQ(v.subview(4, 4).to_bytes(), pattern(4, 4));
-  EXPECT_THROW((void)v.subview(18, 4), std::out_of_range);
-  std::span<const u8> s = v;  // implicit span conversion for decoders
-  EXPECT_EQ(s.size(), 20u);
-  EXPECT_TRUE(v == BufView(storage));
 }
 
 TEST(ByteWriter, TakeBufPreservesHeadroomForPrepend) {

@@ -77,7 +77,7 @@ TEST(Resolver, RdZeroAnswersOnlyFromCache) {
   std::vector<std::size_t> answer_counts;
   u16 port = w.client_stack.ephemeral_port();
   w.client_stack.bind_udp(port, [&](const net::UdpEndpoint&, u16,
-                                    BufView payload) {
+                                    const PacketBuf& payload) {
     answer_counts.push_back(decode_dns(payload).answers.size());
   });
   w.client_stack.send_udp(w.res_stack.addr(), port, kDnsPort,

@@ -170,7 +170,7 @@ TEST(BufferPool, PacketPathReturnsEveryBufferAtTrialTeardown) {
     NetStack b(net, Ipv4Addr{10, 0, 0, 2}, cfg, Rng{2});
 
     u64 got = 0;
-    b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView payload) {
+    b.bind_udp(53, [&](const UdpEndpoint&, u16, const PacketBuf& payload) {
       got += payload.size();
     });
     for (int i = 0; i < 50; ++i) {
@@ -334,7 +334,7 @@ TEST(BufferPathProvenance, StampSurvivesNetstackDelivery) {
   NetStack b(net, Ipv4Addr{10, 0, 0, 2}, StackConfig{}, Rng{2});
 
   Origin seen;
-  b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView payload) {
+  b.bind_udp(53, [&](const UdpEndpoint&, u16, const PacketBuf& payload) {
     seen = payload.origin();
   });
   a.send_udp(b.addr(), 4444, 53, Bytes(3000, 0xCD));  // > MTU: fragments

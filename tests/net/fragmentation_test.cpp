@@ -12,8 +12,9 @@ Ipv4Packet packet_of_size(std::size_t payload) {
   pkt.src = Ipv4Addr{10, 0, 0, 1};
   pkt.dst = Ipv4Addr{10, 0, 0, 2};
   pkt.id = 77;
-  pkt.payload.resize(payload);
-  std::iota(pkt.payload.begin(), pkt.payload.end(), 0);
+  Bytes bytes(payload);
+  std::iota(bytes.begin(), bytes.end(), 0);
+  pkt.payload = bytes;
   return pkt;
 }
 

@@ -16,11 +16,11 @@ struct TwoHosts {
 
 TEST(NetStack, UdpDelivery) {
   TwoHosts h;
-  Bytes got;
+  PacketBuf got;
   UdpEndpoint from{};
-  h.b.bind_udp(53, [&](const UdpEndpoint& f, u16, BufView p) {
+  h.b.bind_udp(53, [&](const UdpEndpoint& f, u16, const PacketBuf& p) {
     from = f;
-    got = p.to_bytes();
+    got = p;
   });
   h.a.send_udp(h.b.addr(), 4444, 53, Bytes{1, 2, 3});
   h.loop.run_for(Duration::seconds(1));
@@ -29,10 +29,33 @@ TEST(NetStack, UdpDelivery) {
   EXPECT_EQ(from.port, 4444);
 }
 
+TEST(NetStack, HandlerKeepsPayloadByCopyingIt) {
+  // The handler gets the delivered datagram's own PacketBuf: copying it
+  // keeps that block past the delivery and takes no block of its own.
+  TwoHosts h;
+  const u64 outstanding_before = BufferPool::aggregate_stats().outstanding;
+  PacketBuf kept;
+  h.b.bind_udp(53, [&](const UdpEndpoint&, u16, const PacketBuf& p) {
+    kept = p;
+  });
+  h.a.send_udp(h.b.addr(), 4444, 53, Bytes{1, 2, 3});
+  const u64 allocs_sent = BufferPool::aggregate_stats().fresh_allocs;
+  h.loop.run_for(Duration::seconds(1));
+  EXPECT_EQ(kept, (Bytes{1, 2, 3}));
+  EXPECT_EQ(BufferPool::aggregate_stats().fresh_allocs, allocs_sent)
+      << "delivering the datagram and copying its payload took a block";
+  EXPECT_EQ(BufferPool::aggregate_stats().outstanding, outstanding_before + 1)
+      << "the copy holds the delivered datagram's block";
+  kept = PacketBuf{};
+  EXPECT_EQ(BufferPool::aggregate_stats().outstanding, outstanding_before);
+}
+
 TEST(NetStack, LargeDatagramFragmentsAndReassembles) {
   TwoHosts h;
-  Bytes got;
-  h.b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView p) { got = p.to_bytes(); });
+  PacketBuf got;
+  h.b.bind_udp(53, [&](const UdpEndpoint&, u16, const PacketBuf& p) {
+    got = p;
+  });
   Bytes payload(4000, 0xAB);
   h.a.send_udp(h.b.addr(), 1, 53, payload);
   h.loop.run_for(Duration::seconds(1));
@@ -95,7 +118,8 @@ TEST(NetStack, FragmentRejectionPolicyDropsFragments) {
   NetStack a{net, Ipv4Addr{10, 0, 0, 1}, StackConfig{}, Rng{2}};
   NetStack b{net, Ipv4Addr{10, 0, 0, 2}, no_frags, Rng{3}};
   bool got = false;
-  b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView) { got = true; });
+  b.bind_udp(53,
+             [&](const UdpEndpoint&, u16, const PacketBuf&) { got = true; });
   Bytes payload(4000, 1);
   a.send_udp(b.addr(), 1, 53, payload);
   loop.run_for(Duration::seconds(1));
@@ -111,7 +135,8 @@ TEST(NetStack, TinyFirstFragmentFilter) {
   NetStack a{net, Ipv4Addr{10, 0, 0, 1}, StackConfig{}, Rng{2}};
   NetStack b{net, Ipv4Addr{10, 0, 0, 2}, filter, Rng{3}};
   bool got = false;
-  b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView) { got = true; });
+  b.bind_udp(53,
+             [&](const UdpEndpoint&, u16, const PacketBuf&) { got = true; });
   a.send_udp_fragmented(b.addr(), 1, 53, Bytes(700, 1), 296);
   loop.run_for(Duration::seconds(1));
   EXPECT_FALSE(got);
@@ -123,8 +148,10 @@ TEST(NetStack, TinyFirstFragmentFilter) {
 
 TEST(NetStack, ForcedFragmentationAlwaysSplits) {
   TwoHosts h;
-  Bytes got;
-  h.b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView p) { got = p.to_bytes(); });
+  PacketBuf got;
+  h.b.bind_udp(53, [&](const UdpEndpoint&, u16, const PacketBuf& p) {
+    got = p;
+  });
   // 100-byte payload fits any MTU but must still arrive in >= 2 fragments.
   h.a.send_udp_fragmented(h.b.addr(), 1, 53, Bytes(100, 7), 1500);
   h.loop.run_for(Duration::seconds(1));
@@ -144,7 +171,8 @@ TEST(NetStack, GlobalSequentialIpidIncrements) {
 TEST(NetStack, SpoofedRawPacketCarriesForgedSource) {
   TwoHosts h;
   UdpEndpoint from{};
-  h.b.bind_udp(123, [&](const UdpEndpoint& f, u16, BufView) { from = f; });
+  h.b.bind_udp(123,
+               [&](const UdpEndpoint& f, u16, const PacketBuf&) { from = f; });
   NetStack attacker{h.net, Ipv4Addr{6, 6, 6, 6}, StackConfig{}, Rng{4}};
   Ipv4Packet pkt;
   pkt.src = h.a.addr();  // forged: claims to be host a

@@ -17,8 +17,9 @@ Ipv4Packet packet_of_size(std::size_t n, u16 id = 1) {
   pkt.src = Ipv4Addr{10, 0, 0, 1};
   pkt.dst = Ipv4Addr{10, 0, 0, 2};
   pkt.id = id;
-  pkt.payload.resize(n);
-  std::iota(pkt.payload.begin(), pkt.payload.end(), 0);
+  Bytes bytes(n);
+  std::iota(bytes.begin(), bytes.end(), 0);
+  pkt.payload = bytes;
   return pkt;
 }
 

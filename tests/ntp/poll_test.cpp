@@ -32,7 +32,7 @@ struct PollWorld {
   /// Poll the server at t = 0; `script` runs when the query arrives there.
   void poll(Script script) {
     server.bind_udp(kNtpPort, [script](const net::UdpEndpoint& from, u16,
-                                       BufView payload) {
+                                       const PacketBuf& payload) {
       script(decode_ntp(payload), from);
     });
     poll_server(client, clock, server.addr(), [this](const PollResult& r) {

@@ -45,7 +45,8 @@ TEST(RateLimiter, SubGapFloodRefusedOutright) {
     t = t + Duration::millis(300);
     EXPECT_EQ(rl.check(kClient, t), RateLimiter::Action::kDrop);
   }
-  EXPECT_TRUE(rl.is_limited(kClient, t + Duration::millis(100)));
+  EXPECT_NE(rl.check(kClient, t + Duration::millis(100)),
+            RateLimiter::Action::kRespond);
 }
 
 TEST(RateLimiter, BurstToleratedThenAverageEnforced) {
@@ -88,10 +89,9 @@ TEST(RateLimiter, RecoversAfterQuietPeriod) {
     (void)rl.check(kClient, t);
     t = t + Duration::millis(300);
   }
-  EXPECT_TRUE(rl.is_limited(kClient, t));
+  EXPECT_NE(rl.check(kClient, t), RateLimiter::Action::kRespond);
   // After 2 minutes of silence the bucket has refilled well past 1.
   t = t + Duration::minutes(2);
-  EXPECT_FALSE(rl.is_limited(kClient, t));
   EXPECT_EQ(rl.check(kClient, t), RateLimiter::Action::kRespond);
 }
 

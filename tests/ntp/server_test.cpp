@@ -20,7 +20,7 @@ struct ServerWorld {
     std::optional<NtpPacket> got;
     u16 port = client_stack.ephemeral_port();
     client_stack.bind_udp(port, [&](const net::UdpEndpoint&, u16,
-                                    BufView payload) {
+                                    const PacketBuf& payload) {
       got = decode_ntp(payload);
     });
     NtpPacket q;
@@ -121,7 +121,7 @@ TEST(NtpServer, ConfigInterfaceClosedByDefault) {
   bool got = false;
   u16 port = w.client_stack.ephemeral_port();
   w.client_stack.bind_udp(port, [&](const net::UdpEndpoint&, u16,
-                                    BufView) { got = true; });
+                                    const PacketBuf&) { got = true; });
   w.client_stack.send_udp(w.server_stack.addr(), port, kNtpPort,
                           encode_config_request());
   w.loop.run_for(Duration::seconds(1));
@@ -139,7 +139,7 @@ TEST(NtpServer, OpenConfigInterfaceLeaksEverything) {
   std::optional<ConfigResponse> got;
   u16 port = w.client_stack.ephemeral_port();
   w.client_stack.bind_udp(port, [&](const net::UdpEndpoint&, u16,
-                                    BufView payload) {
+                                    const PacketBuf& payload) {
     got = decode_config_response(payload);
   });
   w.client_stack.send_udp(w.server_stack.addr(), port, kNtpPort,
